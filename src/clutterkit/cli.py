@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 import sys
 
 import click
@@ -81,17 +80,13 @@ def _emit(ctx: click.Context, payload: dict) -> None:
               help="Emit CSV instead of JSON.")
 @click.option("--max-n", type=int, default=12, show_default=True,
               help="Vertex cap for the exhaustive packing scan.")
-@click.option("--seed", type=int, default=None,
-              help="Seed for randomized property-test drivers.")
 @click.pass_context
-def main(ctx, output_format, max_n, seed):
+def main(ctx, output_format, max_n):
     """Deciders with certificates for edge ideals of clutters: symbolic vs
     ordinary powers, Konig/packing, and covering/packing LP duality."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = output_format
     ctx.obj["max_n"] = max_n
-    if seed is not None:
-        random.seed(seed)
 
 
 @main.command()
@@ -134,9 +129,9 @@ def koenig(ctx, source):
     """Compare cover number and matching number of a clutter."""
     H = _domain(Clutter.from_json_dict, _parse_json(_read_text(source)))
     _emit(ctx, {
-        "koenig": has_koenig(H),
-        "cover_number": cover_number(H),
-        "matching_number": matching_number(H),
+        "koenig": _domain(has_koenig, H),
+        "cover_number": _domain(cover_number, H),
+        "matching_number": _domain(matching_number, H),
     })
 
 

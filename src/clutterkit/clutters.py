@@ -11,10 +11,9 @@ certificates always name vertices by their original labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
-from .monomials import MonomialIdeal, PrimeSupport
+from .monomials import MonomialIdeal, PrimeSupport, minimal_cover_masks
 
 DEFAULT_PACKING_VERTEX_CAP = 12
 
@@ -142,37 +141,17 @@ def matching_number(H: Clutter) -> int:
 
 def cover_number(H: Clutter) -> int:
     """Minimum size of a vertex set meeting every edge; 0 when edgeless."""
-    for size in range(H.n + 1):
-        for combo in combinations(range(H.n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all(mask & e for e in H.edges):
-                return size
-    raise RuntimeError("unreachable: the full vertex set covers every edge")
+    return next(minimal_cover_masks(H.edges, H.n)).bit_count()
 
 
 def min_vertex_covers(H: Clutter) -> tuple[PrimeSupport, ...]:
-    """All inclusion-minimal vertex covers, sorted by (size, vertices)."""
+    """All inclusion-minimal vertex covers, in the (size, vertices) order of
+    :func:`~clutterkit.monomials.minimal_cover_masks`."""
     if not H.edges:
         raise ValueError("min_vertex_covers requires at least one edge")
-    covers = [
-        mask
-        for mask in range(1, 1 << H.n)
-        if all(mask & e for e in H.edges)
-    ]
-    cover_set = set(covers)
-    minimal = [
-        mask
-        for mask in covers
-        if all(
-            (mask ^ (1 << i)) not in cover_set
-            for i in range(H.n)
-            if mask >> i & 1
-        )
-    ]
-    sets = [frozenset(_vertices_of(m)) for m in minimal]
-    return tuple(sorted(sets, key=lambda A: (len(A), sorted(A))))
+    return tuple(
+        frozenset(_vertices_of(mask)) for mask in minimal_cover_masks(H.edges, H.n)
+    )
 
 
 def _compact(masks, n: int, removed_mask: int) -> Clutter:

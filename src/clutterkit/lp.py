@@ -20,6 +20,7 @@ from itertools import permutations, product
 
 from .clutters import IncidenceMatrix
 from .errors import DimensionMismatch, ResourceLimitExceeded
+from .monomials import minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
 STRUCTURAL_COLUMN_CAP = 8
@@ -63,6 +64,7 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     row_masks = M.row_masks()
     best = None
     best_mask = 0
+    # Not minimal_cover_masks: this independent search re-checks gap scan hits.
     for mask in range(1 << n):
         if any(not mask & rm for rm in row_masks):
             continue
@@ -150,21 +152,6 @@ def solve_lp(M: IncidenceMatrix, alpha) -> LpReport:
     return LpReport(phi_value, psi_value, x_opt, y_opt)
 
 
-def _minimal_cover_masks(row_masks: tuple[int, ...], n: int) -> list[int]:
-    """Antichain of minimal x-supports hitting every row."""
-    covers = [
-        mask for mask in range(1 << n) if all(mask & rm for rm in row_masks)
-    ]
-    cover_set = set(covers)
-    return [
-        mask
-        for mask in covers
-        if all(
-            (mask ^ (1 << j)) not in cover_set for j in range(n) if mask >> j & 1
-        )
-    ]
-
-
 def duality_gap_search(
     M: IncidenceMatrix,
     box: int,
@@ -172,9 +159,11 @@ def duality_gap_search(
 ) -> tuple[tuple[int, ...], LpReport] | None:
     """First alpha in {0..box}^n (lexicographic) with phi > psi, or None.
 
-    phi is evaluated over the precomputed minimal covers and psi through a
-    residual-capacity dynamic program shared by the whole scan; a found
-    witness is re-solved with the standalone phi/psi as a cross-check.
+    phi is the least alpha-weight of a minimal cover (from
+    :func:`~clutterkit.monomials.minimal_cover_masks`, computed once) and
+    psi comes from a residual-capacity dynamic program shared by the whole
+    scan; a found witness is re-solved with the standalone phi/psi as a
+    cross-check.
     """
     if box < 1:
         raise ValueError(f"scan box must be >= 1, got {box}")
@@ -187,10 +176,9 @@ def duality_gap_search(
     if M.rows == 0:
         return None
 
-    row_masks = M.row_masks()
-    covers = _minimal_cover_masks(row_masks, n)
     cover_indices = [
-        tuple(j for j in range(n) if mask >> j & 1) for mask in covers
+        tuple(j for j in range(n) if mask >> j & 1)
+        for mask in minimal_cover_masks(M.row_masks(), n)
     ]
     supports = [tuple(j for j, x in enumerate(row) if x) for row in M.data]
 

@@ -9,7 +9,7 @@ so equal ideals have identical representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
 
@@ -19,7 +19,7 @@ Monomial = tuple[int, ...]
 # vertices/variables are 1-based.
 PrimeSupport = frozenset[int]
 
-_MINIMAL_PRIMES_VAR_CAP = 20
+MINIMAL_COVER_VERTEX_CAP = 20
 
 
 def degree(m: Monomial) -> int:
@@ -218,34 +218,54 @@ def _require_proper_squarefree(I: MonomialIdeal, op: str) -> None:
         raise ValueError(f"{op} requires squarefree generators")
 
 
+def minimal_cover_masks(edge_masks, n: int):
+    """Yield the inclusion-minimal vertex masks meeting every edge mask.
+
+    Masks come in order of size, then vertex-lexicographically within a
+    size, i.e. sorted by (size, sorted vertices).  Walks the subsets of the
+    n vertices in that order and skips every superset of a cover already
+    yielded; every smaller cover comes earlier, so a cover that is no such
+    superset is minimal.  With no edges the only minimal cover is the empty
+    mask; with an empty edge mask nothing is yielded.  Capped at
+    MINIMAL_COVER_VERTEX_CAP vertices.
+    """
+    if n > MINIMAL_COVER_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"minimal cover search over 2^{n} vertex sets exceeds the cap of "
+            f"{MINIMAL_COVER_VERTEX_CAP} vertices"
+        )
+    edge_masks = tuple(edge_masks)
+    bits = [1 << i for i in range(n)]
+    found: list[int] = []
+    # for/else rather than all()/any(): has_packing runs this on every
+    # minor, where the generator-expression form was measurably slower.
+    for size in range(n + 1):
+        for mask in map(sum, combinations(bits, size)):
+            for e in edge_masks:
+                if not mask & e:
+                    break
+            else:
+                for f in found:
+                    if f & mask == f:
+                        break
+                else:
+                    found.append(mask)
+                    yield mask
+
+
 def minimal_primes(I: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     """Inclusion-minimal variable sets meeting the support of every generator.
 
     For a squarefree ideal these are exactly its minimal primes (equivalently
-    the minimal vertex covers of the support hypergraph).  Brute force over
-    variable subsets; returned sorted by (size, variables).
+    the minimal vertex covers of the support hypergraph), in the
+    (size, variables) order of :func:`minimal_cover_masks`.
     """
     _require_proper_squarefree(I, "minimal_primes")
     n = I.n
-    if n > _MINIMAL_PRIMES_VAR_CAP:
-        raise ResourceLimitExceeded(f"minimal_primes capped at n={_MINIMAL_PRIMES_VAR_CAP}")
-    supports = [_support_mask(g) for g in I.gens]
-    covers = [
-        mask
-        for mask in range(1, 1 << n)
-        if all(mask & s for s in supports)
-    ]
-    cover_set = set(covers)
-    minimal = []
-    for mask in covers:
-        if all(
-            (mask ^ (1 << i)) not in cover_set
-            for i in range(n)
-            if mask >> i & 1
-        ):
-            minimal.append(mask)
-    sets = [frozenset(i + 1 for i in range(n) if m >> i & 1) for m in minimal]
-    return tuple(sorted(sets, key=lambda A: (len(A), sorted(A))))
+    return tuple(
+        frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        for mask in minimal_cover_masks((_support_mask(g) for g in I.gens), n)
+    )
 
 
 def prime_power_contains(A: PrimeSupport, k: int, m: Monomial) -> bool:

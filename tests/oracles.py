@@ -90,6 +90,17 @@ def brute_cover_number(H: Clutter):
     return best
 
 
+def brute_minimal_covers(H: Clutter):
+    """Minimal vertex covers by a full 2^n scan and a pairwise subset test.
+
+    Returned as vertex frozensets sorted by (size, sorted vertices).
+    """
+    covers = [mask for mask in range(1 << H.n) if all(mask & e for e in H.edges)]
+    minimal = [a for a in covers if not any(b != a and b & a == b for b in covers)]
+    sets = [frozenset(v for v in range(1, H.n + 1) if a >> (v - 1) & 1) for a in minimal]
+    return tuple(sorted(sets, key=lambda A: (len(A), sorted(A))))
+
+
 def brute_phi(M: IncidenceMatrix, alpha, cap=1):
     """Covering optimum over the wider box x in {0..cap}^n."""
     best = None

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, wire formats, exit codes, stable output."""
 
+import hashlib
 import json
 
 from click.testing import CliRunner
@@ -102,6 +103,12 @@ class TestKoenigClassifyDecompose:
         payload = json.loads(invoke(["decompose", path]).output)
         assert payload == {"n": 4, "primes": [[2, 3], [2, 4], [3, 4]]}
 
+    def test_koenig_over_cover_cap_exits_2(self):
+        path40 = {"n": 40, "edges": [[v, v + 1] for v in range(1, 40)]}
+        result = invoke(["koenig", "-"], input=json.dumps(path40))
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
+
     def test_decompose_edgeless_exits_2(self):
         data = json.dumps({"n": 3, "edges": []})
         assert invoke(["decompose", "-"], input=data).exit_code == 2
@@ -187,6 +194,16 @@ class TestOutputStability:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "key,value"
 
-    def test_seed_option_accepted(self, tmp_path):
-        path = write_json(tmp_path, "g.json", STAR4)
-        assert invoke(["--seed", "7", "classify", path]).exit_code == 0
+    # sha256 of the JSON stdout of verify-theorem -n 3, 4, 5; the benchmark
+    # pins the same values (with n = 6) in perfbench/workloads.py.
+    REPORT_SHA256 = {
+        3: "54074f013779851193cd3731000aedb488fe8a8763397f3d56bbf7529272b54c",
+        4: "c0637a75e753a9459e22e94d2ec43eb5a5d7609650a72c41df846096923ab3e8",
+        5: "e3b7a3d31a6d370ee3af35d352efe30b2c244ca7239e96822a2bca0064bee619",
+    }
+
+    def test_verify_theorem_report_bytes(self):
+        for n, digest in self.REPORT_SHA256.items():
+            result = invoke(["verify-theorem", "-n", str(n)])
+            assert result.exit_code == 0
+            assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest

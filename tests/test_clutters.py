@@ -1,6 +1,6 @@
 """Clutters: minors, Konig/packing, extensions and incidence matrices."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,7 +21,12 @@ from clutterkit import (
     minimal_primes,
     minor,
 )
-from oracles import brute_cover_number, brute_matching_number, random_clutter
+from oracles import (
+    brute_cover_number,
+    brute_matching_number,
+    brute_minimal_covers,
+    random_clutter,
+)
 
 
 def paw_complement():
@@ -112,12 +117,56 @@ class TestMatchingCover:
     def test_covers_equal_minimal_primes(self, rng):
         for _ in range(60):
             H = random_clutter(rng)
-            assert set(min_vertex_covers(H)) == set(minimal_primes(edge_ideal(H)))
+            assert set(minimal_primes(edge_ideal(H))) == set(brute_minimal_covers(H))
 
     def test_weak_duality(self, rng):
         for _ in range(120):
             H = random_clutter(rng, allow_edgeless=True)
             assert matching_number(H) <= cover_number(H)
+
+
+def all_clutters_with_edges(n):
+    """Every clutter on n labeled vertices with at least one edge."""
+    subsets = [
+        frozenset(c) for size in range(1, n + 1)
+        for c in combinations(range(1, n + 1), size)
+    ]
+
+    def rec(i, chosen):
+        if i == len(subsets):
+            if chosen:
+                yield make_clutter(n, chosen)
+            return
+        yield from rec(i + 1, chosen)
+        S = subsets[i]
+        if not any(E <= S or S <= E for E in chosen):
+            yield from rec(i + 1, chosen + [S])
+
+    yield from rec(0, [])
+
+
+class TestMinimalCoverKernel:
+    """minimal_primes, min_vertex_covers and cover_number share one search."""
+
+    def test_every_clutter_up_to_five_vertices(self):
+        counts = []
+        for n in range(1, 6):
+            count = 0
+            for H in all_clutters_with_edges(n):
+                want = brute_minimal_covers(H)
+                assert min_vertex_covers(H) == want
+                assert minimal_primes(edge_ideal(H)) == want
+                assert cover_number(H) == len(want[0])
+                count += 1
+            counts.append(count)
+        # Dedekind numbers less the edgeless clutter and the one with an empty edge.
+        assert counts == [1, 4, 18, 166, 7579]
+
+    def test_vertex_cap(self):
+        path = make_clutter(21, [(v, v + 1) for v in range(1, 21)])
+        for search in (cover_number, min_vertex_covers):
+            with pytest.raises(ResourceLimitExceeded):
+                search(path)
 
 
 class TestDeletionContraction:
