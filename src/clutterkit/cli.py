@@ -51,11 +51,23 @@ def _parse_json(text: str) -> dict:
     return data
 
 
+def _from_json(cls, data: dict):
+    """Build a value from its wire format; a missing or ill-typed field is an
+    input error (exit 2)."""
+    try:
+        return cls.from_json_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"invalid input: {exc}") from exc
+
+
 def _domain(fn, *args, **kwargs):
-    """Run a library call, turning domain errors into usage errors (exit 2)."""
+    """Run a decider, turning domain errors into usage errors (exit 2).
+
+    Any other exception is a library bug and propagates.
+    """
     try:
         return fn(*args, **kwargs)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"invalid input: {exc}") from exc
     except ResourceLimitExceeded as exc:
         raise click.UsageError(f"resource cap exceeded: {exc}") from exc
@@ -102,9 +114,9 @@ def simis(ctx, source, k):
     """
     data = _parse_json(_read_text(source))
     if "gens" in data:
-        ideal = _domain(MonomialIdeal.from_json_dict, data)
+        ideal = _from_json(MonomialIdeal, data)
     elif "edges" in data:
-        graph = _domain(Graph.from_json_dict, data)
+        graph = _from_json(Graph, data)
         ideal = _domain(complementary_edge_ideal, graph)
     else:
         raise click.UsageError('input needs either a "gens" or an "edges" field')
@@ -117,7 +129,7 @@ def simis(ctx, source, k):
 @click.pass_context
 def packing(ctx, source):
     """Decide the packing property of a clutter, with a failing minor if any."""
-    H = _domain(Clutter.from_json_dict, _parse_json(_read_text(source)))
+    H = _from_json(Clutter, _parse_json(_read_text(source)))
     report = _domain(has_packing, H, vertex_cap=ctx.obj["max_n"])
     _emit(ctx, report.to_json_dict())
 
@@ -127,7 +139,7 @@ def packing(ctx, source):
 @click.pass_context
 def koenig(ctx, source):
     """Compare cover number and matching number of a clutter."""
-    H = _domain(Clutter.from_json_dict, _parse_json(_read_text(source)))
+    H = _from_json(Clutter, _parse_json(_read_text(source)))
     _emit(ctx, {
         "koenig": _domain(has_koenig, H),
         "cover_number": _domain(cover_number, H),
@@ -140,7 +152,7 @@ def koenig(ctx, source):
 @click.pass_context
 def classify(ctx, source):
     """Classify a graph against the six reference graphs plus isolated vertices."""
-    G = _domain(Graph.from_json_dict, _parse_json(_read_text(source)))
+    G = _from_json(Graph, _parse_json(_read_text(source)))
     _emit(ctx, _domain(classify_graph, G).to_json_dict())
 
 
@@ -149,7 +161,7 @@ def classify(ctx, source):
 @click.pass_context
 def decompose(ctx, source):
     """Minimal primes of a graph's complementary edge ideal (variable supports)."""
-    G = _domain(Graph.from_json_dict, _parse_json(_read_text(source)))
+    G = _from_json(Graph, _parse_json(_read_text(source)))
     primes = _domain(primary_decomposition_cx, G)
     _emit(ctx, {"n": G.n, "primes": [sorted(A) for A in primes]})
 
@@ -157,11 +169,7 @@ def decompose(ctx, source):
 def _parse_matrix(text: str) -> IncidenceMatrix:
     stripped = text.strip()
     if stripped.startswith("{"):
-        data = _parse_json(text)
-        try:
-            return IncidenceMatrix.from_json_dict(data)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise click.UsageError(f"invalid matrix JSON: {exc}") from exc
+        return _from_json(IncidenceMatrix, _parse_json(text))
     lines = [line.strip() for line in stripped.splitlines() if line.strip()]
     if not lines:
         raise click.UsageError("dense matrix input is empty")

@@ -11,11 +11,13 @@ certificates always name vertices by their original labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import MonomialIdeal, PrimeSupport, minimal_cover_masks
 
 DEFAULT_PACKING_VERTEX_CAP = 12
+CANONICAL_FORM_COLUMN_CAP = 8
 
 
 class _TrivialMinor:
@@ -38,8 +40,8 @@ TRIVIAL = _TrivialMinor()
 def _mask_of(vertices, n: int) -> int:
     mask = 0
     for v in vertices:
-        if not isinstance(v, int) or v < 1 or v > n:
-            raise ValueError(f"vertex {v!r} out of range 1..{n}")
+        if type(v) is not int or v < 1 or v > n:
+            raise ValueError(f"vertex {v!r} is not an integer in 1..{n}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -100,7 +102,7 @@ class Clutter:
 
 def make_clutter(n: int, edges) -> Clutter:
     """Build a clutter: rejects empty edges, keeps only inclusion-minimal ones."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     masks = []
     for edge in edges:
@@ -296,6 +298,8 @@ class IncidenceMatrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int or self.cols < 0:
+            raise ValueError(f"matrix shape must be counts, got {self.rows!r}x{self.cols!r}")
         if len(self.data) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.data)}")
         for row in self.data:
@@ -303,8 +307,8 @@ class IncidenceMatrix:
                 raise DimensionMismatch(
                     f"row of length {len(row)} in a {self.cols}-column matrix"
                 )
-            if any(x not in (0, 1) for x in row):
-                raise ValueError(f"matrix entries must be 0/1: {row!r}")
+            if any(type(x) is not int or x not in (0, 1) for x in row):
+                raise ValueError(f"matrix entries must be the integers 0/1: {row!r}")
 
     def row_masks(self) -> tuple[int, ...]:
         return tuple(
@@ -329,3 +333,19 @@ def incidence_matrix(H: Clutter) -> IncidenceMatrix:
         tuple(e >> j & 1 for j in range(H.n)) for e in H.edges
     )
     return IncidenceMatrix(len(H.edges), H.n, data)
+
+
+def canonical_form(M: IncidenceMatrix) -> tuple[tuple[int, ...], ...]:
+    """Minimum over column permutations of the sorted row tuple.
+
+    Two matrices are equal up to independent row and column permutations
+    exactly when their canonical forms are equal.  A zero-row matrix gives ().
+    """
+    if M.cols > CANONICAL_FORM_COLUMN_CAP:
+        raise ResourceLimitExceeded(
+            f"canonical form over {M.cols}! column permutations exceeds the cap "
+            f"of {CANONICAL_FORM_COLUMN_CAP} columns"
+        )
+    if not M.cols:
+        return M.data  # its rows are all (); transposing twice would drop them
+    return min(tuple(sorted(zip(*perm))) for perm in permutations(zip(*M.data)))

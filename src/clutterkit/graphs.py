@@ -10,13 +10,11 @@ and small-graph enumeration up to isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .clutters import Clutter, make_clutter
-from .errors import ResourceLimitExceeded
+from .clutters import Clutter, canonical_form, incidence_matrix, make_clutter
 from .monomials import MonomialIdeal, PrimeSupport, intersect, minimalize
 
-ISOMORPHISM_VERTEX_CAP = 8
 ENUMERATION_VERTEX_CAP = 7
 
 CLASS_LABELS = ("K2", "K3", "P3", "2K2", "P4", "C4", "OTHER")
@@ -77,11 +75,13 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     normalized = set()
     for edge in edges:
         a, b = edge
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"edge vertices must be integers: {edge!r}")
         if a == b:
             raise ValueError(f"loop at vertex {a} is not allowed")
         if not (1 <= a <= n and 1 <= b <= n):
@@ -195,13 +195,6 @@ def _pair_slots(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _edge_mask(G: Graph, slot_index: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    for a, b in G.edges:
-        mask |= 1 << slot_index[(a - 1, b - 1)]
-    return mask
-
-
 def _graph_from_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> Graph:
     edges = tuple(
         sorted((i + 1, j + 1) for s, (i, j) in enumerate(slots) if mask >> s & 1)
@@ -218,40 +211,18 @@ def _slot_permutation(slots, slot_index, perm) -> list[int]:
     return out
 
 
-def _apply_slot_map(mask: int, slot_map: list[int]) -> int:
-    out = 0
-    s = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << slot_map[s]
-        mask >>= 1
-        s += 1
-    return out
-
-
-def canonical_edge_mask(G: Graph) -> int:
-    """Minimum edge bitmask over all vertex permutations (n <= 8)."""
-    if G.n > ISOMORPHISM_VERTEX_CAP:
-        raise ResourceLimitExceeded(
-            f"isomorphism canonical form capped at n={ISOMORPHISM_VERTEX_CAP}"
-        )
-    slots = _pair_slots(G.n)
-    slot_index = {p: s for s, p in enumerate(slots)}
-    mask = _edge_mask(G, slot_index)
-    best = mask
-    for perm in permutations(range(G.n)):
-        candidate = _apply_slot_map(mask, _slot_permutation(slots, slot_index, perm))
-        if candidate < best:
-            best = candidate
-    return best
-
-
 def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
+    """Compare canonical forms of the edge-vertex incidence matrices (a simple
+    graph is a 2-uniform clutter); capped at 8 vertices."""
     if G1.n != G2.n or len(G1.edges) != len(G2.edges):
         return False
     if G1.degree_sequence() != G2.degree_sequence():
         return False
-    return canonical_edge_mask(G1) == canonical_edge_mask(G2)
+
+    def form(G: Graph):
+        return canonical_form(incidence_matrix(make_clutter(G.n, G.edges)))
+
+    return form(G1) == form(G2)
 
 
 def classify_graph(G: Graph) -> GraphClass:

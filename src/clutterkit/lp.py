@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
-from .clutters import IncidenceMatrix
+from .clutters import IncidenceMatrix, canonical_form
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
-STRUCTURAL_COLUMN_CAP = 8
 DEFAULT_SCAN_STATE_CAP = 5_000_000
 
 
@@ -43,7 +42,7 @@ def _validate_instance(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
         raise DimensionMismatch(
             f"objective of length {len(alpha)} for a {M.cols}-column matrix"
         )
-    if any(not isinstance(a, int) or a < 0 for a in alpha):
+    if any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError(f"objective must be nonnegative integers: {alpha!r}")
     if any(not any(row) for row in M.data):
         raise ValueError("zero row makes the covering constraints infeasible")
@@ -235,21 +234,9 @@ def _base_matrices() -> tuple[tuple[str, IncidenceMatrix], ...]:
 BASE_MATRICES = _base_matrices()
 
 
-def _canonical_matrix_form(data: tuple[tuple[int, ...], ...], cols: int):
-    """Minimum over column permutations of the sorted row tuple."""
-    best = None
-    for perm in permutations(range(cols)):
-        candidate = tuple(sorted(tuple(row[j] for j in perm) for row in data))
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
 @lru_cache(maxsize=None)
 def _base_canonical_form(base_index: int, r: int):
-    base = BASE_MATRICES[base_index][1]
-    extended = extend_matrix(base, r)
-    return _canonical_matrix_form(extended.data, extended.cols)
+    return canonical_form(extend_matrix(BASE_MATRICES[base_index][1], r))
 
 
 def structural_mfmc_check(M: IncidenceMatrix) -> bool:
@@ -272,11 +259,7 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
             raise ValueError("zero row is not an edge")
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
-    if n > STRUCTURAL_COLUMN_CAP:
-        raise ResourceLimitExceeded(
-            f"structural check capped at {STRUCTURAL_COLUMN_CAP} columns"
-        )
-    form = _canonical_matrix_form(M.data, n)
+    form = canonical_form(M)
     for index, (_, base) in enumerate(BASE_MATRICES):
         if base.rows == M.rows and base.cols <= n:
             if form == _base_canonical_form(index, n - base.cols):

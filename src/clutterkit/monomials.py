@@ -118,15 +118,15 @@ class MonomialIdeal:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
         n = data["n"]
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("variable count must be a nonnegative integer")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
         gens = []
         for g in data["gens"]:
             if len(g) != n:
                 raise DimensionMismatch(
                     f"exponent vector {g!r} has length {len(g)}, expected {n}"
                 )
-            if any(not isinstance(e, int) or e < 0 for e in g):
+            if any(type(e) is not int or e < 0 for e in g):
                 raise ValueError(f"exponents must be nonnegative integers: {g!r}")
             gens.append(tuple(g))
         return minimalize(gens, n)

@@ -147,6 +147,26 @@ def nx_isomorphic(G1: Graph, G2: Graph):
     return G1.n == G2.n and nx.is_isomorphic(nx_graph(G1), nx_graph(G2))
 
 
+def nx_matrix_equivalent(M1: IncidenceMatrix, M2: IncidenceMatrix):
+    """Equal up to row and column permutations: networkx isomorphism of the
+    row/column bipartite graphs, with rows matched only to rows."""
+    import networkx as nx
+
+    def bipartite(M):
+        g = nx.Graph()
+        g.add_nodes_from((("row", i) for i in range(M.rows)), side="row")
+        g.add_nodes_from((("col", j) for j in range(M.cols)), side="col")
+        g.add_edges_from(
+            (("row", i), ("col", j))
+            for i, row in enumerate(M.data) for j, x in enumerate(row) if x
+        )
+        return g
+
+    return (M1.rows, M1.cols) == (M2.rows, M2.cols) and nx.is_isomorphic(
+        bipartite(M1), bipartite(M2), node_match=lambda a, b: a["side"] == b["side"]
+    )
+
+
 def nx_count_classes(n, require_edge=False):
     """Isomorphism classes on n vertices by brute subset + networkx dedup."""
     import networkx as nx

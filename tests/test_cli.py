@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from clutterkit.cli import main
@@ -152,6 +153,30 @@ class TestLp:
 
     def test_bad_dense_matrix_exits_2(self):
         assert invoke(["lp", "-", "--scan", "1"], input="10\n2\n").exit_code == 2
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("args, payload", [
+        (["koenig", "-"], {"n": True, "edges": [[True]]}),
+        (["classify", "-"], {"n": 4, "edges": [[1.0, 2], [3, 4]]}),
+        (["packing", "-"], {"n": 2, "edges": [[1, 2.0]]}),
+        (["simis", "-"], {"n": 2, "gens": [[True, 0]]}),
+        (["lp", "-", "--structural"], {"rows": 1, "cols": 3, "data": [[True, 0, 0]]}),
+        (["lp", "-", "--structural"], {"rows": 0, "cols": -3, "data": []}),
+    ])
+    def test_ill_typed_numbers_exit_2(self, args, payload):
+        result = invoke(args, input=json.dumps(payload))
+        assert result.exit_code == 2
+        assert "invalid input" in result.output
+
+    def test_library_type_error_is_not_an_input_error(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise TypeError("library bug")
+
+        monkeypatch.setattr("clutterkit.cli.has_packing", broken)
+        result = invoke(["packing", write_json(tmp_path, "h.json", TWO_K2_CLUTTER)])
+        assert result.exit_code != 2
+        assert isinstance(result.exception, TypeError)
 
 
 class TestVerifyTheoremCommand:

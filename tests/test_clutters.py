@@ -1,5 +1,6 @@
 """Clutters: minors, Konig/packing, extensions and incidence matrices."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -21,10 +22,12 @@ from clutterkit import (
     minimal_primes,
     minor,
 )
+from clutterkit.clutters import IncidenceMatrix, canonical_form
 from oracles import (
     brute_cover_number,
     brute_matching_number,
     brute_minimal_covers,
+    nx_matrix_equivalent,
     random_clutter,
 )
 
@@ -167,6 +170,37 @@ class TestMinimalCoverKernel:
         for search in (cover_number, min_vertex_covers):
             with pytest.raises(ResourceLimitExceeded):
                 search(path)
+
+
+class TestCanonicalFormKernel:
+    """The graph isomorphism test and the structural no-gap check share one
+    canonical form; networkx pins it on every clutter with n <= 5."""
+
+    def test_every_clutter_up_to_five_vertices(self):
+        rng = random.Random(20261018)
+        first_of_form = {}
+        for n in range(1, 6):
+            for H in all_clutters_with_edges(n):
+                M = incidence_matrix(H)
+                form = canonical_form(M)
+                first = first_of_form.setdefault(form, M)
+                assert first is M or nx_matrix_equivalent(first, M)
+                rows = rng.sample(M.data, M.rows)
+                cols = rng.sample(range(n), n)
+                shuffled = IncidenceMatrix.from_rows(
+                    [tuple(row[j] for j in cols) for row in rows], n
+                )
+                assert canonical_form(shuffled) == form
+
+    def test_zero_rows_or_columns(self):
+        assert canonical_form(IncidenceMatrix.from_rows([], 8)) == ()
+        assert canonical_form(IncidenceMatrix.from_rows([], 0)) == ()
+        assert canonical_form(IncidenceMatrix.from_rows([(), ()], 0)) == ((), ())
+
+    def test_column_cap(self):
+        M = incidence_matrix(make_clutter(9, [(1, 2)]))
+        with pytest.raises(ResourceLimitExceeded, match="9!"):
+            canonical_form(M)
 
 
 class TestDeletionContraction:
@@ -349,10 +383,11 @@ class TestIncidenceMatrix:
         assert IncidenceMatrix.from_json_dict(M.to_json_dict()) == M
 
     def test_rejects_non_binary(self):
-        from clutterkit import IncidenceMatrix
-
+        for rows in [(0, 2)], [(0, True)], [(0, 1.0)]:
+            with pytest.raises(ValueError):
+                IncidenceMatrix.from_rows(rows, 2)
         with pytest.raises(ValueError):
-            IncidenceMatrix.from_rows([(0, 2)], 2)
+            IncidenceMatrix(True, 2, ((0, 1),))
 
 
 class TestClutterJson:
