@@ -7,13 +7,9 @@ and 0/1 covering/packing LP duality.
 
 from .clutters import (
     Clutter,
-    FailingMinor,
     IncidenceMatrix,
-    PackingReport,
     TRIVIAL,
-    contraction,
     cover_number,
-    deletion,
     edge_ideal,
     extend,
     has_koenig,
@@ -27,7 +23,6 @@ from .clutters import (
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .graphs import (
     Graph,
-    GraphClass,
     REFERENCE_GRAPHS,
     associated_graph,
     classify_graph,
@@ -41,7 +36,6 @@ from .graphs import (
 )
 from .lp import (
     BASE_MATRICES,
-    LpReport,
     duality_gap_search,
     extend_matrix,
     phi,
@@ -52,8 +46,6 @@ from .lp import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    PrimeSupport,
-    SimisReport,
     contains_monomial,
     ideals_equal,
     intersect,
@@ -65,6 +57,6 @@ from .monomials import (
     prime_power_contains,
     symbolic_power,
 )
-from .verify import TheoremReport, TheoremRow, verify_theorem
+from .verify import verify_theorem
 
 __version__ = "0.1.0"

@@ -91,7 +91,7 @@ def _emit(ctx: click.Context, payload: dict) -> None:
 @click.option("--csv", "output_format", flag_value="csv",
               help="Emit CSV instead of JSON.")
 @click.option("--max-n", type=int, default=12, show_default=True,
-              help="Vertex cap for the exhaustive packing scan.")
+              help="Vertex cap for the 3^n minor scan of `packing`.")
 @click.pass_context
 def main(ctx, output_format, max_n):
     """Deciders with certificates for edge ideals of clutters: symbolic vs
@@ -235,10 +235,7 @@ def verify_theorem_command(ctx, n, k_values, box):
     """Cross-check the five equivalent characterizations on every graph class
     with at least one edge on n vertices; exit 1 on any disagreement."""
     k_list = tuple(k_values) if k_values else (2, 3)
-    report = _domain(
-        verify_theorem, n, k_list=k_list, box=box,
-        packing_vertex_cap=ctx.obj["max_n"],
-    )
+    report = _domain(verify_theorem, n, k_list=k_list, box=box)
     if ctx.obj["format"] == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -3,9 +3,9 @@ packing deciders with certificates, edge ideals, universal-vertex extensions,
 and incidence matrices.
 
 Vertices are 1-based; edges are stored as bitmasks (bit i-1 = vertex i),
-sorted ascending, which fixes a canonical edge order throughout.  Deletion,
-contraction and minors return clutters on a compacted vertex set; packing
-certificates always name vertices by their original labels.
+sorted ascending, which fixes a canonical edge order throughout.  Minors
+return clutters on a compacted vertex set; packing certificates always name
+vertices by their original labels.
 """
 
 from __future__ import annotations
@@ -156,42 +156,13 @@ def min_vertex_covers(H: Clutter) -> tuple[PrimeSupport, ...]:
     )
 
 
-def _compact(masks, n: int, removed_mask: int) -> Clutter:
-    """Reindex edge masks onto the vertices surviving `removed_mask`."""
-    survivors = [i for i in range(n) if not removed_mask >> i & 1]
-    new_index = {old: new for new, old in enumerate(survivors)}
-    out = []
-    for e in masks:
-        new_e = 0
-        for i in new_index:
-            if e >> i & 1:
-                new_e |= 1 << new_index[i]
-        out.append(new_e)
-    return Clutter(len(survivors), tuple(sorted(out)))
-
-
-def deletion(H: Clutter, v: int) -> Clutter:
-    """Drop vertex v and every edge containing it; surviving vertices compact."""
-    bit = _mask_of([v], H.n)
-    kept = [e for e in H.edges if not e & bit]
-    return _compact(kept, H.n, bit)
-
-
-def contraction(H: Clutter, v: int):
-    """Remove v from every edge and re-minimalize; TRIVIAL if an edge empties."""
-    bit = _mask_of([v], H.n)
-    stripped = [e & ~bit for e in H.edges]
-    if any(e == 0 for e in stripped):
-        return TRIVIAL
-    return _compact(_minimal_masks(stripped), H.n, bit)
-
-
 def minor(H: Clutter, deleted, contracted):
     """Minor by deleting all of `deleted` then contracting all of `contracted`.
 
     The two vertex sets must be disjoint; the result does not depend on the
-    order of the individual operations.  Returns TRIVIAL when a contraction
-    empties an edge.
+    order of the individual operations.  The surviving vertices are
+    relabeled 1.. in order.  Returns TRIVIAL when a contraction empties an
+    edge.
     """
     d_mask = _mask_of(deleted, H.n)
     c_mask = _mask_of(contracted, H.n)
@@ -201,7 +172,16 @@ def minor(H: Clutter, deleted, contracted):
     stripped = [e & ~c_mask for e in kept]
     if any(e == 0 for e in stripped):
         return TRIVIAL
-    return _compact(_minimal_masks(stripped), H.n, d_mask | c_mask)
+    removed = d_mask | c_mask
+    survivors = [i for i in range(H.n) if not removed >> i & 1]
+    out = []
+    for e in _minimal_masks(stripped):
+        new_e = 0
+        for new, old in enumerate(survivors):
+            if e >> old & 1:
+                new_e |= 1 << new
+        out.append(new_e)
+    return Clutter(len(survivors), tuple(sorted(out)))
 
 
 def has_koenig(H) -> bool:

@@ -17,8 +17,6 @@ from .monomials import MonomialIdeal, PrimeSupport, intersect, minimalize
 
 ENUMERATION_VERTEX_CAP = 7
 
-CLASS_LABELS = ("K2", "K3", "P3", "2K2", "P4", "C4", "OTHER")
-
 
 @dataclass(frozen=True)
 class Graph:

@@ -151,11 +151,7 @@ def solve_lp(M: IncidenceMatrix, alpha) -> LpReport:
     return LpReport(phi_value, psi_value, x_opt, y_opt)
 
 
-def duality_gap_search(
-    M: IncidenceMatrix,
-    box: int,
-    state_cap: int = DEFAULT_SCAN_STATE_CAP,
-) -> tuple[tuple[int, ...], LpReport] | None:
+def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], LpReport] | None:
     """First alpha in {0..box}^n (lexicographic) with phi > psi, or None.
 
     phi is the least alpha-weight of a minimal cover (from
@@ -168,9 +164,10 @@ def duality_gap_search(
         raise ValueError(f"scan box must be >= 1, got {box}")
     _validate_instance(M, (0,) * M.cols)
     n = M.cols
-    if n * (box + 1) ** n > state_cap:
+    if n * (box + 1) ** n > DEFAULT_SCAN_STATE_CAP:
         raise ResourceLimitExceeded(
-            f"scan over {(box + 1) ** n} objectives exceeds the state cap"
+            f"scan over {(box + 1) ** n} objectives ({n * (box + 1) ** n} DP entries) "
+            f"exceeds the state cap of {DEFAULT_SCAN_STATE_CAP}"
         )
     if M.rows == 0:
         return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
 
@@ -20,10 +21,7 @@ Monomial = tuple[int, ...]
 PrimeSupport = frozenset[int]
 
 MINIMAL_COVER_VERTEX_CAP = 20
-
-
-def degree(m: Monomial) -> int:
-    return sum(m)
+SIMIS_CANDIDATE_CAP = 100_000
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -340,6 +338,16 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
+    # power() multiplies k-1 times by I; the product of I^j (at most
+    # C(g+j-1, j) generators) with the g generators of I tests at most
+    # g * C(g+j-1, j) candidates, and these sum to under g * C(g+k-1, k-1).
+    n_gens = len(I.gens)
+    work = n_gens * comb(n_gens + k - 1, k - 1)
+    if work > SIMIS_CANDIDATE_CAP:
+        raise ResourceLimitExceeded(
+            f"building I^{k} from {n_gens} generators tests up to {work} candidate "
+            f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
+        )
     P = power(I, k)
     primes = minimal_primes(I)
     for g in P.gens:

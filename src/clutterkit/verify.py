@@ -39,7 +39,6 @@ class TheoremRow:
     classified: bool
     structural_mfmc: bool
     gap_free: bool | None
-    all_agree: bool
 
     def condition_values(self) -> list[bool]:
         values = [self.simis[k] for k in sorted(self.simis)]
@@ -47,6 +46,10 @@ class TheoremRow:
         if self.gap_free is not None:
             values.append(self.gap_free)
         return values
+
+    @property
+    def all_agree(self) -> bool:
+        return len(set(self.condition_values())) == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,9 +71,18 @@ class TheoremReport:
     k_list: tuple[int, ...]
     box: int
     rows: tuple[TheoremRow, ...]
-    satisfying: int
-    failing: int
-    consistent: bool
+
+    @property
+    def satisfying(self) -> int:
+        return sum(1 for row in self.rows if row.classified and row.all_agree)
+
+    @property
+    def failing(self) -> int:
+        return sum(1 for row in self.rows if not row.classified and row.all_agree)
+
+    @property
+    def consistent(self) -> bool:
+        return all(row.all_agree for row in self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,12 +123,7 @@ class TheoremReport:
         return out
 
 
-def verify_theorem(
-    n: int,
-    k_list: tuple[int, ...] = (2, 3),
-    box: int = 2,
-    packing_vertex_cap: int = 12,
-) -> TheoremReport:
+def verify_theorem(n: int, k_list: tuple[int, ...] = (2, 3), box: int = 2) -> TheoremReport:
     """Build the per-class agreement report for all graph classes on n vertices.
 
     `box` = 0 disables the duality-gap scan; any k in `k_list` must be >= 1.
@@ -136,7 +143,7 @@ def verify_theorem(
         H = clutter_of_graph(G)
         ideal = edge_ideal(H)
         simis = {k: is_simis(ideal, k).equal for k in k_list}
-        packs = has_packing(H, vertex_cap=packing_vertex_cap).packs
+        packs = has_packing(H).packs
         cls = classify_graph(G)
         classified = cls.label != "OTHER"
         M = incidence_matrix(H)
@@ -144,10 +151,6 @@ def verify_theorem(
         gap_free: bool | None = None
         if box >= 1:
             gap_free = duality_gap_search(M, box) is None
-        values = list(simis.values()) + [packs, classified, structural]
-        if gap_free is not None:
-            values.append(gap_free)
-        all_agree = len(set(values)) == 1
         rows.append(
             TheoremRow(
                 graph=G,
@@ -158,19 +161,6 @@ def verify_theorem(
                 classified=classified,
                 structural_mfmc=structural,
                 gap_free=gap_free,
-                all_agree=all_agree,
             )
         )
-
-    consistent = all(row.all_agree for row in rows)
-    satisfying = sum(1 for row in rows if row.classified and row.all_agree)
-    failing = sum(1 for row in rows if not row.classified and row.all_agree)
-    return TheoremReport(
-        n=n,
-        k_list=k_list,
-        box=box,
-        rows=tuple(rows),
-        satisfying=satisfying,
-        failing=failing,
-        consistent=consistent,
-    )
+    return TheoremReport(n=n, k_list=k_list, box=box, rows=tuple(rows))

@@ -8,7 +8,15 @@ hand-rolled canonical forms.
 
 from itertools import combinations, product
 
-from clutterkit import Clutter, Graph, IncidenceMatrix, make_clutter, make_graph, minimalize
+from clutterkit import (
+    TRIVIAL,
+    Clutter,
+    Graph,
+    IncidenceMatrix,
+    make_clutter,
+    make_graph,
+    minimalize,
+)
 
 
 def iter_monomials(n, max_degree):
@@ -99,6 +107,23 @@ def brute_minimal_covers(H: Clutter):
     minimal = [a for a in covers if not any(b != a and b & a == b for b in covers)]
     sets = [frozenset(v for v in range(1, H.n + 1) if a >> (v - 1) & 1) for a in minimal]
     return tuple(sorted(sets, key=lambda A: (len(A), sorted(A))))
+
+
+def brute_minor(H: Clutter, D, C):
+    """Minor by deleting D and contracting C, worked out on vertex sets.
+
+    Drops the edges that meet D, subtracts C from the others, gives TRIVIAL
+    if an edge empties, keeps the edges with no proper subset among them and
+    relabels the surviving vertices 1.. in order.
+    """
+    D, C = set(D), set(C)
+    edges = {frozenset(E) - C for E in H.edge_vertex_sets() if not D & set(E)}
+    if frozenset() in edges:
+        return TRIVIAL
+    minimal = [E for E in edges if not any(F < E for F in edges)]
+    survivors = [v for v in range(1, H.n + 1) if v not in D | C]
+    masks = [sum(1 << i for i, v in enumerate(survivors) if v in E) for E in minimal]
+    return Clutter(len(survivors), tuple(sorted(masks)))
 
 
 def brute_phi(M: IncidenceMatrix, alpha, cap=1):

@@ -58,6 +58,12 @@ class TestSimis:
     def test_missing_file_exits_2(self):
         assert invoke(["simis", "/nonexistent/input.json"]).exit_code == 2
 
+    def test_degree_over_cap_exits_2(self):
+        path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
+        result = invoke(["simis", "-", "-k", "40"], input=path5)
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
+
 
 class TestPacking:
     def test_two_disjoint_edges_pack(self, tmp_path):
@@ -86,6 +92,9 @@ class TestPacking:
         path = write_json(tmp_path, "h.json", big)
         assert invoke(["packing", path]).exit_code == 2
         assert invoke(["--max-n", "13", "packing", path]).exit_code == 0
+
+    def test_max_n_leaves_verify_theorem_alone(self):
+        assert invoke(["--max-n", "3", "verify-theorem", "-n", "4"]).exit_code == 0
 
 
 class TestKoenigClassifyDecompose:
@@ -232,3 +241,12 @@ class TestOutputStability:
             result = invoke(["verify-theorem", "-n", str(n)])
             assert result.exit_code == 0
             assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the --csv stdout of verify-theorem -n 5, as written: the csv
+    # module ends rows with \r\n, which CliRunner's decoded stdout turns to \n.
+    CSV_SHA256 = "fc5601915d4dd0bdd8083afc534b4c9b4a5126cf1ce005d4c64a2a8aa41a504e"
+
+    def test_verify_theorem_csv_bytes(self):
+        result = invoke(["--csv", "verify-theorem", "-n", "5"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.CSV_SHA256

@@ -1,16 +1,14 @@
 """Clutters: minors, Konig/packing, extensions and incidence matrices."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from clutterkit import (
     ResourceLimitExceeded,
     TRIVIAL,
-    contraction,
     cover_number,
-    deletion,
     edge_ideal,
     extend,
     has_koenig,
@@ -27,6 +25,7 @@ from oracles import (
     brute_cover_number,
     brute_matching_number,
     brute_minimal_covers,
+    brute_minor,
     nx_matrix_equivalent,
     random_clutter,
 )
@@ -204,39 +203,42 @@ class TestCanonicalFormKernel:
 
 
 class TestDeletionContraction:
+    """Single-vertex minors: minor(H, (v,), ()) deletes v, minor(H, (), (v,))
+    contracts it."""
+
     def test_deletion_drops_incident_edges(self):
         H = make_clutter(4, [(1, 2), (3, 4)])
-        got = deletion(H, 1)
+        got = minor(H, (1,), ())
         assert got.n == 3
         assert got.edge_vertex_sets() == ((2, 3),)  # survivors 2,3,4 relabeled
 
     def test_deletion_of_isolated_vertex(self):
         H = triangle_on_234()
-        got = deletion(H, 1)
+        got = minor(H, (1,), ())
         assert got.n == 3
         assert got.edge_vertex_sets() == ((1, 2), (1, 3), (2, 3))
 
     def test_deletion_from_paw_complement_gives_triangle(self):
-        got = deletion(paw_complement(), 1)
+        got = minor(paw_complement(), (1,), ())
         assert got.edge_vertex_sets() == ((1, 2), (1, 3), (2, 3))
 
     def test_contraction_reminimalizes(self):
         H = make_clutter(4, [(1, 2), (3, 4)])
-        got = contraction(H, 1)
+        got = minor(H, (), (1,))
         assert got.edge_vertex_sets() == ((1,), (2, 3))
 
     def test_contraction_of_paw_complement(self):
-        got = contraction(paw_complement(), 1)
+        got = minor(paw_complement(), (), (1,))
         assert got.edge_vertex_sets() == ((1, 2), (3,))
 
     def test_contraction_emptying_edge_is_trivial(self):
-        assert contraction(make_clutter(1, [(1,)]), 1) is TRIVIAL
+        assert minor(make_clutter(1, [(1,)]), (), (1,)) is TRIVIAL
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            deletion(triangle_on_234(), 5)
+            minor(triangle_on_234(), (5,), ())
         with pytest.raises(ValueError):
-            contraction(triangle_on_234(), 0)
+            minor(triangle_on_234(), (), (0,))
 
 
 class TestMinor:
@@ -256,15 +258,27 @@ class TestMinor:
         with pytest.raises(ValueError):
             minor(paw_complement(), (1,), (1, 2))
 
+    def test_matches_brute_force_oracle(self):
+        count = 0
+        for n in range(1, 5):
+            for H in [make_clutter(n, []), *all_clutters_with_edges(n)]:
+                for labels in product("dck", repeat=n):
+                    D = tuple(v for v, x in enumerate(labels, 1) if x == "d")
+                    C = tuple(v for v, x in enumerate(labels, 1) if x == "c")
+                    assert minor(H, D, C) == brute_minor(H, D, C), (H, D, C)
+                    count += 1
+        # (1 + 1) * 3 + (1 + 4) * 9 + (1 + 18) * 27 + (1 + 166) * 81
+        assert count == 14091
+
     def test_order_independence(self, rng):
-        # every interleaving of single-vertex operations gives the same minor
+        # every interleaving of single-vertex minors gives the same minor
         def apply_sequence(H, ops):
             labels = list(range(1, H.n + 1))
             current = H
             for kind, v in ops:
-                idx = labels.index(v) + 1
+                idx = (labels.index(v) + 1,)
                 current = (
-                    deletion(current, idx) if kind == "d" else contraction(current, idx)
+                    minor(current, idx, ()) if kind == "d" else minor(current, (), idx)
                 )
                 if current is TRIVIAL:
                     return TRIVIAL

@@ -163,8 +163,9 @@ class TestDualityGapSearch:
             duality_gap_search(triangle_matrix(), 0)
 
     def test_state_cap(self):
-        with pytest.raises(ResourceLimitExceeded):
-            duality_gap_search(triangle_matrix(), 2, state_cap=10)
+        # 4 * 201^4 DP entries are far above the cap: refused before any work
+        with pytest.raises(ResourceLimitExceeded, match="state cap of 5000000"):
+            duality_gap_search(triangle_matrix(), 200)
 
     def test_scan_agrees_with_standalone_solvers(self, rng):
         # re-solve every objective of a small scan along the slow route

@@ -5,6 +5,7 @@ import pytest
 from clutterkit import (
     DimensionMismatch,
     MonomialIdeal,
+    ResourceLimitExceeded,
     contains_monomial,
     ideals_equal,
     intersect,
@@ -324,6 +325,16 @@ class TestIsSimis:
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             is_simis(minimalize([(2, 0)], 2), 2)
+
+    def test_candidate_cap(self):
+        # complementary ideal of the 5-vertex path: 4 generators, and
+        # 4 * C(43, 39) = 493,640 predicted candidates at k = 40
+        path = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        with pytest.raises(ResourceLimitExceeded, match="493640 .* cap of 100000"):
+            is_simis(complementary_edge_ideal(path), 40)
+        # a principal ideal has one candidate per product, so k itself is capped
+        with pytest.raises(ResourceLimitExceeded):
+            is_simis(minimalize([(1, 1)], 2), 10**9)
 
     def test_witness_is_lex_first_failure(self, rng):
         for _ in range(30):
