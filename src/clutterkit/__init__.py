@@ -17,7 +17,6 @@ from .clutters import (
     incidence_matrix,
     make_clutter,
     matching_number,
-    min_vertex_covers,
     minor,
 )
 from .errors import DimensionMismatch, ResourceLimitExceeded
@@ -29,7 +28,6 @@ from .graphs import (
     clutter_of_graph,
     complementary_edge_ideal,
     enumerate_graphs_upto_iso,
-    enumeration_jsonl,
     graphs_isomorphic,
     make_graph,
     primary_decomposition_cx,
@@ -47,7 +45,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     contains_monomial,
-    ideals_equal,
     intersect,
     is_simis,
     minimal_primes,

@@ -73,14 +73,15 @@ def _domain(fn, *args, **kwargs):
         raise click.UsageError(f"resource cap exceeded: {exc}") from exc
 
 
+def _echo_csv(rows) -> None:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    click.echo(buffer.getvalue().rstrip("\n"))
+
+
 def _emit(ctx: click.Context, payload: dict) -> None:
     if ctx.obj["format"] == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["key", "value"])
-        for key, value in payload.items():
-            writer.writerow([key, json.dumps(value)])
-        click.echo(buffer.getvalue().rstrip("\n"))
+        _echo_csv([("key", "value")] + [(k, json.dumps(v)) for k, v in payload.items()])
     else:
         click.echo(json.dumps(payload, indent=2))
 
@@ -90,15 +91,12 @@ def _emit(ctx: click.Context, payload: dict) -> None:
               help="Emit JSON (default).")
 @click.option("--csv", "output_format", flag_value="csv",
               help="Emit CSV instead of JSON.")
-@click.option("--max-n", type=int, default=12, show_default=True,
-              help="Vertex cap for the 3^n minor scan of `packing`.")
 @click.pass_context
-def main(ctx, output_format, max_n):
+def main(ctx, output_format):
     """Deciders with certificates for edge ideals of clutters: symbolic vs
     ordinary powers, Konig/packing, and covering/packing LP duality."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = output_format
-    ctx.obj["max_n"] = max_n
 
 
 @main.command()
@@ -130,7 +128,7 @@ def simis(ctx, source, k):
 def packing(ctx, source):
     """Decide the packing property of a clutter, with a failing minor if any."""
     H = _from_json(Clutter, _parse_json(_read_text(source)))
-    report = _domain(has_packing, H, vertex_cap=ctx.obj["max_n"])
+    report = _domain(has_packing, H)
     _emit(ctx, report.to_json_dict())
 
 
@@ -237,11 +235,7 @@ def verify_theorem_command(ctx, n, k_values, box):
     k_list = tuple(k_values) if k_values else (2, 3)
     report = _domain(verify_theorem, n, k_list=k_list, box=box)
     if ctx.obj["format"] == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        for record in report.csv_rows():
-            writer.writerow(record)
-        click.echo(buffer.getvalue().rstrip("\n"))
+        _echo_csv(report.csv_rows())
     else:
         click.echo(json.dumps(report.to_json_dict(), indent=2))
     if not report.consistent:

@@ -14,21 +14,14 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
-from .monomials import MonomialIdeal, PrimeSupport, minimal_cover_masks
+from .monomials import MonomialIdeal, minimal_cover_masks
 
-DEFAULT_PACKING_VERTEX_CAP = 12
+PACKING_VERTEX_CAP = 12
 CANONICAL_FORM_COLUMN_CAP = 8
 
 
 class _TrivialMinor:
     """Marker for a minor whose contraction emptied an edge (unit-ideal minor)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "TRIVIAL"
@@ -146,16 +139,6 @@ def cover_number(H: Clutter) -> int:
     return next(minimal_cover_masks(H.edges, H.n)).bit_count()
 
 
-def min_vertex_covers(H: Clutter) -> tuple[PrimeSupport, ...]:
-    """All inclusion-minimal vertex covers, in the (size, vertices) order of
-    :func:`~clutterkit.monomials.minimal_cover_masks`."""
-    if not H.edges:
-        raise ValueError("min_vertex_covers requires at least one edge")
-    return tuple(
-        frozenset(_vertices_of(mask)) for mask in minimal_cover_masks(H.edges, H.n)
-    )
-
-
 def minor(H: Clutter, deleted, contracted):
     """Minor by deleting all of `deleted` then contracting all of `contracted`.
 
@@ -235,15 +218,15 @@ def _subsets_lex(items):
     yield from rec(0, ())
 
 
-def has_packing(H: Clutter, vertex_cap: int = DEFAULT_PACKING_VERTEX_CAP) -> PackingReport:
+def has_packing(H: Clutter) -> PackingReport:
     """Scan all 3^n disjoint (deleted, contracted) pairs for a Konig failure.
 
     TRIVIAL minors are skipped.  The certificate is the lexicographically
     first failing pair; vertices keep their original labels.
     """
-    if H.n > vertex_cap:
+    if H.n > PACKING_VERTEX_CAP:
         raise ResourceLimitExceeded(
-            f"packing scan over 3^{H.n} minors exceeds the cap of {vertex_cap} vertices"
+            f"packing scan over 3^{H.n} minors exceeds the cap of {PACKING_VERTEX_CAP} vertices"
         )
     vertices = tuple(range(1, H.n + 1))
     for D in _subsets_lex(vertices):

@@ -6,4 +6,4 @@ class DimensionMismatch(ValueError):
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """An exhaustive search would exceed the configured desk-scale cap."""
+    """An exhaustive search would exceed its fixed desk-scale cap."""

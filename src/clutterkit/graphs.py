@@ -303,12 +303,3 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
     reps.sort(key=lambda m: (m.bit_count(), m))
     return [_graph_from_mask(n, m, slots) for m in reps]
 
-
-def enumeration_jsonl(n: int, require_edge: bool = False) -> str:
-    """Enumeration as JSON-lines: one canonical graph object per line."""
-    import json
-
-    return "\n".join(
-        json.dumps(G.to_json_dict())
-        for G in enumerate_graphs_upto_iso(n, require_edge)
-    )

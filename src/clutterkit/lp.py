@@ -23,7 +23,8 @@ from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
-DEFAULT_SCAN_STATE_CAP = 5_000_000
+PSI_NODE_CAP = 200_000
+SCAN_STATE_CAP = 5_000_000
 
 
 def extend_matrix(A: IncidenceMatrix, r: int) -> IncidenceMatrix:
@@ -36,7 +37,7 @@ def extend_matrix(A: IncidenceMatrix, r: int) -> IncidenceMatrix:
     return IncidenceMatrix(A.rows, A.cols + r, data)
 
 
-def _validate_instance(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
+def _checked_alpha(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
     alpha = tuple(alpha)
     if len(alpha) != M.cols:
         raise DimensionMismatch(
@@ -54,7 +55,7 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
 
     Brute force over x in {0,1}^n; ties break to the smallest bitmask.
     """
-    alpha = _validate_instance(M, alpha)
+    alpha = _checked_alpha(M, alpha)
     n = M.cols
     if M.rows == 0:
         return 0, (0,) * n
@@ -80,9 +81,10 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
 
     Bounded enumeration: y_i is capped by the smallest objective entry on
     row i's support, and branches are cut when even the per-row caps on the
-    residual capacities cannot beat the incumbent.
+    residual capacities cannot beat the incumbent.  Refuses once the search
+    has visited more than PSI_NODE_CAP nodes.
     """
-    alpha = _validate_instance(M, alpha)
+    alpha = _checked_alpha(M, alpha)
     m = M.rows
     if m == 0:
         return 0, ()
@@ -91,12 +93,19 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     best_value = 0
     best_y: tuple[int, ...] = (0,) * m
     y = [0] * m
+    nodes = 0
 
     def cap(i: int) -> int:
         return min(residual[j] for j in supports[i])
 
     def search(i: int, total: int) -> None:
-        nonlocal best_value, best_y
+        nonlocal best_value, best_y, nodes
+        nodes += 1
+        if nodes > PSI_NODE_CAP:
+            raise ResourceLimitExceeded(
+                f"packing search visited {nodes} nodes (a count, not a prediction), "
+                f"above the cap of {PSI_NODE_CAP}"
+            )
         if i == m:
             if total > best_value:
                 best_value = total
@@ -162,12 +171,12 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
     """
     if box < 1:
         raise ValueError(f"scan box must be >= 1, got {box}")
-    _validate_instance(M, (0,) * M.cols)
+    _checked_alpha(M, (0,) * M.cols)
     n = M.cols
-    if n * (box + 1) ** n > DEFAULT_SCAN_STATE_CAP:
+    if n * (box + 1) ** n > SCAN_STATE_CAP:
         raise ResourceLimitExceeded(
             f"scan over {(box + 1) ** n} objectives ({n * (box + 1) ** n} DP entries) "
-            f"exceeds the state cap of {DEFAULT_SCAN_STATE_CAP}"
+            f"exceeds the state cap of {SCAN_STATE_CAP}"
         )
     if M.rows == 0:
         return None

@@ -40,10 +40,6 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def is_squarefree(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
-
-
 def _support_mask(m: Monomial) -> int:
     mask = 0
     for i, e in enumerate(m):
@@ -100,7 +96,7 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self) -> bool:
-        return all(is_squarefree(g) for g in self.gens)
+        return all(e <= 1 for g in self.gens for e in g)
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -173,11 +169,6 @@ def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
     if len(m) != I.n:
         raise DimensionMismatch(f"monomial of length {len(m)} vs n={I.n}")
     return any(divides(g, m) for g in I.gens)
-
-
-def ideals_equal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    _check_same_n(I, J)
-    return I.gens == J.gens
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -297,11 +288,18 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
     _require_proper_squarefree(I, "symbolic_power")
-    result: MonomialIdeal | None = None
-    for A in minimal_primes(I):
+    primes = minimal_primes(I)
+    result = _prime_power_ideal(I.n, primes[0], k)
+    work = 0
+    for A in primes[1:]:
         P = _prime_power_ideal(I.n, A, k)
-        result = P if result is None else intersect(result, P)
-    assert result is not None
+        work += len(result.gens) * len(P.gens)  # bounds the pairs intersect tests
+        if work > SIMIS_CANDIDATE_CAP:
+            raise ResourceLimitExceeded(
+                f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
+                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
+            )
+        result = intersect(result, P)
     return result
 
 

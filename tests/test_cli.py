@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from clutterkit.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(args, input=None):
@@ -64,6 +67,11 @@ class TestSimis:
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
 
+    def test_symbolic_side_over_cap_exits_2(self):
+        result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
+
 
 class TestPacking:
     def test_two_disjoint_edges_pack(self, tmp_path):
@@ -91,10 +99,6 @@ class TestPacking:
         big = {"n": 13, "edges": [[1, 2], [1, 3], [2, 3]]}
         path = write_json(tmp_path, "h.json", big)
         assert invoke(["packing", path]).exit_code == 2
-        assert invoke(["--max-n", "13", "packing", path]).exit_code == 0
-
-    def test_max_n_leaves_verify_theorem_alone(self):
-        assert invoke(["--max-n", "3", "verify-theorem", "-n", "4"]).exit_code == 0
 
 
 class TestKoenigClassifyDecompose:
@@ -162,6 +166,12 @@ class TestLp:
 
     def test_bad_dense_matrix_exits_2(self):
         assert invoke(["lp", "-", "--scan", "1"], input="10\n2\n").exit_code == 2
+
+    def test_psi_over_node_cap_exits_2(self):
+        source = str(DATA / "all_pairs_of_9_columns.txt")
+        result = invoke(["lp", source, "--alpha", ",".join(["2"] * 9)])
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
 
 
 class TestInputBoundary:

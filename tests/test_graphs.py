@@ -18,7 +18,7 @@ from clutterkit import (
     is_simis,
     make_clutter,
     make_graph,
-    min_vertex_covers,
+    minimal_primes,
     minimalize,
     primary_decomposition_cx,
 )
@@ -154,7 +154,7 @@ class TestPrimaryDecomposition:
         for n in (3, 4, 5):
             for G in enumerate_graphs_upto_iso(n, require_edge=True):
                 assert set(primary_decomposition_cx(G)) == set(
-                    min_vertex_covers(clutter_of_graph(G))
+                    minimal_primes(edge_ideal(clutter_of_graph(G)))
                 )
 
     def test_intersection_recovers_ideal(self):
@@ -259,17 +259,6 @@ class TestEnumeration:
 
     def test_deterministic(self):
         assert enumerate_graphs_upto_iso(5) == enumerate_graphs_upto_iso(5)
-
-    def test_jsonl_output(self):
-        import json
-
-        from clutterkit import enumeration_jsonl
-
-        lines = enumeration_jsonl(3, require_edge=True).splitlines()
-        assert len(lines) == 3
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0] == {"n": 3, "edges": [[1, 2]]}
-        assert all(set(obj) == {"n", "edges"} for obj in parsed)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Covering/packing programs, gap scans, and the structural no-gap test."""
 
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from clutterkit import (
     structural_mfmc_check,
 )
 from oracles import brute_phi, brute_psi, random_clutter
+
+DATA = Path(__file__).parent / "data"
 
 
 def triangle_matrix():
@@ -129,6 +132,16 @@ class TestPsi:
             alpha = tuple(rng.randint(0, 3) for _ in range(M.cols))
             report = solve_lp(M, alpha)
             assert report.gap >= 0
+
+    def test_node_cap(self):
+        # every pair of 7 columns answers (15,086 nodes); every pair of 9,
+        # from the fixture, passes the cap of 200,000 nodes and is refused
+        pairs7 = [[int(j in p) for j in range(7)] for p in combinations(range(7), 2)]
+        assert psi(IncidenceMatrix.from_rows(pairs7, 7), (2,) * 7)[0] == 7
+        text = (DATA / "all_pairs_of_9_columns.txt").read_text()
+        pairs9 = IncidenceMatrix.from_rows([map(int, line) for line in text.split()], 9)
+        with pytest.raises(ResourceLimitExceeded, match="200001 nodes .* cap of 200000"):
+            psi(pairs9, (2,) * 9)
 
 
 class TestMonotonicity:

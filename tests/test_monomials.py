@@ -1,5 +1,8 @@
 """Monomial ideal arithmetic: pinned golden values plus brute-force properties."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from clutterkit import (
@@ -7,7 +10,6 @@ from clutterkit import (
     MonomialIdeal,
     ResourceLimitExceeded,
     contains_monomial,
-    ideals_equal,
     intersect,
     is_simis,
     make_graph,
@@ -26,6 +28,8 @@ from oracles import (
     symbolic_generators_by_scan,
     symbolic_member,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def star_complement_ideal():
@@ -193,14 +197,10 @@ class TestMembershipEquality:
     def test_equality_after_minimalization(self):
         I = minimalize([(1, 1, 0), (1, 1, 1)], 3)
         J = minimalize([(1, 1, 0)], 3)
-        assert ideals_equal(I, J)
+        assert I == J
 
     def test_zero_is_not_unit(self):
-        assert not ideals_equal(MonomialIdeal.zero(2), MonomialIdeal.unit(2))
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionMismatch):
-            ideals_equal(MonomialIdeal.zero(2), MonomialIdeal.zero(3))
+        assert MonomialIdeal.zero(2) != MonomialIdeal.unit(2)
 
 
 class TestMinimalPrimes:
@@ -290,7 +290,7 @@ class TestSymbolicPower:
     def test_square_cycle_power_equals_symbolic(self):
         C4 = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         I = complementary_edge_ideal(C4)
-        assert ideals_equal(power(I, 2), symbolic_power(I, 2))
+        assert power(I, 2) == symbolic_power(I, 2)
 
 
 class TestIsSimis:
@@ -335,6 +335,16 @@ class TestIsSimis:
         # a principal ideal has one candidate per product, so k itself is capped
         with pytest.raises(ResourceLimitExceeded):
             is_simis(minimalize([(1, 1)], 2), 10**9)
+
+    def test_symbolic_chain_cap(self):
+        # 60 squarefree cubics on 14 variables: only 3,660 ordinary-side
+        # candidates at k = 2, but 156 minimal primes to intersect
+        data = json.loads((DATA / "simis_60_cubics_14_vars.json").read_text())
+        I = MonomialIdeal.from_json_dict(data)
+        with pytest.raises(ResourceLimitExceeded, match="156 minimal primes .* cap of 100000"):
+            symbolic_power(I, 2)
+        with pytest.raises(ResourceLimitExceeded):
+            is_simis(I, 2)
 
     def test_witness_is_lex_first_failure(self, rng):
         for _ in range(30):
