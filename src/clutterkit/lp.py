@@ -8,22 +8,23 @@ For an m x n incidence matrix M and a nonnegative integral objective alpha:
 For 0/1 covering constraints restricting x to {0,1}^n is lossless (raising
 a coordinate above 1 never helps), which the tests cross-check against a
 wider box.  The module also provides the all-ones column extension, the
-lexicographic duality-gap scan over a bounded alpha box, and the structural
-characterization of the matrices with no gap anywhere (row sums n-2).
+duality-gap scan (one lexicographic pass over a bounded alpha box that
+stops at the first gap), and the structural characterization of the
+matrices with no gap anywhere (row sums n-2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 from .clutters import IncidenceMatrix, canonical_form
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
-PSI_NODE_CAP = 200_000
+PSI_ROW_VISIT_CAP = 2_000_000
 SCAN_STATE_CAP = 5_000_000
 
 
@@ -79,10 +80,12 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
 def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     """Exact packing optimum and an optimal multiplicity vector y (length m).
 
-    Bounded enumeration: y_i is capped by the smallest objective entry on
-    row i's support, and branches are cut when even the per-row caps on the
-    residual capacities cannot beat the incumbent.  Refuses once the search
-    has visited more than PSI_NODE_CAP nodes.
+    Bounded enumeration, depth first over the rows in order: y_i runs down
+    from its cap, the smallest residual objective entry on row i's support,
+    to 0, and a branch is cut when even the caps of the rows left cannot
+    beat the incumbent.  Each node reads the caps of every row left, so the
+    search counts row visits (one for a complete y) and refuses once they
+    pass PSI_ROW_VISIT_CAP.
     """
     alpha = _checked_alpha(M, alpha)
     m = M.rows
@@ -93,38 +96,41 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     best_value = 0
     best_y: tuple[int, ...] = (0,) * m
     y = [0] * m
-    nodes = 0
-
-    def cap(i: int) -> int:
-        return min(residual[j] for j in supports[i])
-
-    def search(i: int, total: int) -> None:
-        nonlocal best_value, best_y, nodes
-        nodes += 1
-        if nodes > PSI_NODE_CAP:
+    visits = 0
+    i = total = 0
+    while True:
+        # node: rows < i hold y[:i] (total), every y[r] for r >= i is 0
+        visits += m - i or 1
+        if visits > PSI_ROW_VISIT_CAP:
             raise ResourceLimitExceeded(
-                f"packing search visited {nodes} nodes (a count, not a prediction), "
-                f"above the cap of {PSI_NODE_CAP}"
+                f"packing search made {visits} row visits (a count, not a "
+                f"prediction), above the cap of {PSI_ROW_VISIT_CAP}"
             )
         if i == m:
             if total > best_value:
                 best_value = total
                 best_y = tuple(y)
-            return
-        optimistic = total + sum(cap(r) for r in range(i, m))
-        if optimistic <= best_value:
-            return
-        for value in range(cap(i), -1, -1):
-            y[i] = value
-            for j in supports[i]:
-                residual[j] -= value
-            search(i + 1, total + value)
-            for j in supports[i]:
-                residual[j] += value
-        y[i] = 0
-
-    search(0, 0)
-    return best_value, best_y
+        else:
+            caps = [min(residual[j] for j in supports[r]) for r in range(i, m)]
+            if total + sum(caps) > best_value:
+                y[i] = caps[0]
+                for j in supports[i]:
+                    residual[j] -= caps[0]
+                total += caps[0]
+                i += 1
+                continue
+        # backtrack to the deepest row whose value can still go down by one
+        while True:
+            i -= 1
+            if i < 0:
+                return best_value, best_y
+            if y[i]:
+                y[i] -= 1
+                for j in supports[i]:
+                    residual[j] += 1
+                total -= 1
+                i += 1
+                break
 
 
 @dataclass(frozen=True)
@@ -163,11 +169,15 @@ def solve_lp(M: IncidenceMatrix, alpha) -> LpReport:
 def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], LpReport] | None:
     """First alpha in {0..box}^n (lexicographic) with phi > psi, or None.
 
-    phi is the least alpha-weight of a minimal cover (from
-    :func:`~clutterkit.monomials.minimal_cover_masks`, computed once) and
-    psi comes from a residual-capacity dynamic program shared by the whole
-    scan; a found witness is re-solved with the standalone phi/psi as a
-    cross-check.
+    One lexicographic pass over the box that stops at the first gap.  psi
+    comes from a dynamic program over the objectives seen so far: every
+    alpha - row is lexicographically earlier than alpha, so its value is
+    already in the flat table, at alpha's mixed-radix index minus the row's
+    stride offset.  phi is the least alpha-weight of a minimal cover (from
+    :func:`~clutterkit.monomials.minimal_cover_masks`, computed once); an
+    objective has a gap only if every cover weighs more than psi, so the
+    cover loop stops at the first that does not.  A found witness is
+    re-solved with the standalone phi/psi as a cross-check.
     """
     if box < 1:
         raise ValueError(f"scan box must be >= 1, got {box}")
@@ -185,26 +195,31 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
         tuple(j for j in range(n) if mask >> j & 1)
         for mask in minimal_cover_masks(M.row_masks(), n)
     ]
-    supports = [tuple(j for j, x in enumerate(row) if x) for row in M.data]
+    bits = [1 << j for j in range(n)]
+    strides = [(box + 1) ** (n - 1 - j) for j in range(n)]
+    # (support mask, index offset of alpha - row) per row
+    rows = [
+        (sum(compress(bits, row)), sum(compress(strides, row))) for row in M.data
+    ]
 
-    packing_best: dict[tuple[int, ...], int] = {}
-    for capacity in product(range(box + 1), repeat=n):
+    packing_best: list[int] = []
+    for index, alpha in enumerate(product(range(box + 1), repeat=n)):
+        positive = sum(compress(bits, alpha))
         best = 0
-        for sup in supports:
-            if all(capacity[j] >= 1 for j in sup):
-                reduced = list(capacity)
-                for j in sup:
-                    reduced[j] -= 1
-                value = 1 + packing_best[tuple(reduced)]
+        for support, offset in rows:
+            if support & positive == support:
+                value = packing_best[index - offset] + 1
                 if value > best:
                     best = value
-        packing_best[capacity] = best
-
-    for alpha in product(range(box + 1), repeat=n):
-        phi_value = min(sum(alpha[j] for j in idx) for idx in cover_indices)
-        if phi_value > packing_best[alpha]:
+        packing_best.append(best)
+        entry = alpha.__getitem__
+        for idx in cover_indices:
+            if sum(map(entry, idx)) <= best:
+                break
+        else:
+            phi_value = min(sum(map(entry, idx)) for idx in cover_indices)
             report = solve_lp(M, alpha)
-            if report.phi != phi_value or report.psi != packing_best[alpha]:
+            if report.phi != phi_value or report.psi != best:
                 raise RuntimeError(
                     "internal invariant violated: scan optima disagree with "
                     "the standalone solvers"

@@ -3,7 +3,8 @@
 Every oracle here recomputes a quantity along a different route than the
 implementation: membership scans instead of generator arithmetic, plain
 box enumeration instead of pruned search, networkx instead of the
-hand-rolled canonical forms.
+hand-rolled canonical forms.  ``reference_gap_scan`` is the earlier
+full-table duality-gap scan, kept as the reference for the one-pass scan.
 """
 
 from itertools import combinations, product
@@ -13,10 +14,14 @@ from clutterkit import (
     Clutter,
     Graph,
     IncidenceMatrix,
+    ResourceLimitExceeded,
     make_clutter,
     make_graph,
     minimalize,
+    solve_lp,
 )
+from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
+from clutterkit.monomials import minimal_cover_masks
 
 
 def iter_monomials(n, max_degree):
@@ -138,23 +143,77 @@ def brute_phi(M: IncidenceMatrix, alpha, cap=1):
 
 
 def brute_psi(M: IncidenceMatrix, alpha):
-    """Packing optimum by full box enumeration of y."""
+    """Packing optimum by full box enumeration of y, with the lexicographically
+    greatest optimal y (the one a depth-first search that tries each y_i
+    from its cap down to 0 finds first)."""
     if M.rows == 0:
-        return 0
+        return 0, ()
     caps = []
     for row in M.data:
         support = [j for j, x in enumerate(row) if x]
         caps.append(min(alpha[j] for j in support))
-    best = 0
+    best, best_y = 0, None
     for y in product(*(range(c + 1) for c in caps)):
         ok = True
         for j in range(M.cols):
             if sum(y[i] * M.data[i][j] for i in range(M.rows)) > alpha[j]:
                 ok = False
                 break
-        if ok:
-            best = max(best, sum(y))
-    return best
+        if ok and sum(y) >= best:
+            best, best_y = sum(y), y
+    return best, best_y
+
+
+def reference_gap_scan(M: IncidenceMatrix, box: int):
+    """The duality-gap scan as a table over the whole box, then a min per alpha.
+
+    Builds the packing dynamic program for every objective in {0..box}^n,
+    keyed by capacity tuples, before it looks for a gap; then takes the full
+    minimum over the minimal covers at each alpha in lexicographic order.
+    Same return values as :func:`clutterkit.duality_gap_search`.
+    """
+    if box < 1:
+        raise ValueError(f"scan box must be >= 1, got {box}")
+    _checked_alpha(M, (0,) * M.cols)
+    n = M.cols
+    if n * (box + 1) ** n > SCAN_STATE_CAP:
+        raise ResourceLimitExceeded(
+            f"scan over {(box + 1) ** n} objectives ({n * (box + 1) ** n} DP entries) "
+            f"exceeds the state cap of {SCAN_STATE_CAP}"
+        )
+    if M.rows == 0:
+        return None
+
+    cover_indices = [
+        tuple(j for j in range(n) if mask >> j & 1)
+        for mask in minimal_cover_masks(M.row_masks(), n)
+    ]
+    supports = [tuple(j for j, x in enumerate(row) if x) for row in M.data]
+
+    packing_best: dict[tuple[int, ...], int] = {}
+    for capacity in product(range(box + 1), repeat=n):
+        best = 0
+        for sup in supports:
+            if all(capacity[j] >= 1 for j in sup):
+                reduced = list(capacity)
+                for j in sup:
+                    reduced[j] -= 1
+                value = 1 + packing_best[tuple(reduced)]
+                if value > best:
+                    best = value
+        packing_best[capacity] = best
+
+    for alpha in product(range(box + 1), repeat=n):
+        phi_value = min(sum(alpha[j] for j in idx) for idx in cover_indices)
+        if phi_value > packing_best[alpha]:
+            report = solve_lp(M, alpha)
+            if report.phi != phi_value or report.psi != packing_best[alpha]:
+                raise RuntimeError(
+                    "internal invariant violated: scan optima disagree with "
+                    "the standalone solvers"
+                )
+            return alpha, report
+    return None
 
 
 def nx_graph(G: Graph):
@@ -206,6 +265,26 @@ def nx_count_classes(n, require_edge=False):
         if not any(nx.is_isomorphic(G, r) for r in reps):
             reps.append(G)
     return len(reps)
+
+
+def all_clutters_with_edges(n):
+    """Every clutter on n labeled vertices with at least one edge."""
+    subsets = [
+        frozenset(c) for size in range(1, n + 1)
+        for c in combinations(range(1, n + 1), size)
+    ]
+
+    def rec(i, chosen):
+        if i == len(subsets):
+            if chosen:
+                yield make_clutter(n, chosen)
+            return
+        yield from rec(i + 1, chosen)
+        S = subsets[i]
+        if not any(E <= S or S <= E for E in chosen):
+            yield from rec(i + 1, chosen + [S])
+
+    yield from rec(0, [])
 
 
 def random_clutter(rng, n_max=5, allow_edgeless=False):

@@ -173,6 +173,14 @@ class TestLp:
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
 
+    @pytest.mark.parametrize("name, cols", [
+        ("tall_1200_rows_8_columns.txt", 8), ("tall_600_rows_12_columns.txt", 12),
+    ])
+    def test_psi_on_tall_matrix_exits_2(self, name, cols):
+        result = invoke(["lp", str(DATA / name), "--alpha", ",".join(["1"] * cols)])
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize("args, payload", [

@@ -1,7 +1,7 @@
 """Clutters: minors, Konig/packing, extensions and incidence matrices."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from clutterkit import (
 )
 from clutterkit.clutters import IncidenceMatrix, canonical_form
 from oracles import (
+    all_clutters_with_edges,
     brute_cover_number,
     brute_matching_number,
     brute_minimal_covers,
@@ -124,26 +125,6 @@ class TestMatchingCover:
         for _ in range(120):
             H = random_clutter(rng, allow_edgeless=True)
             assert matching_number(H) <= cover_number(H)
-
-
-def all_clutters_with_edges(n):
-    """Every clutter on n labeled vertices with at least one edge."""
-    subsets = [
-        frozenset(c) for size in range(1, n + 1)
-        for c in combinations(range(1, n + 1), size)
-    ]
-
-    def rec(i, chosen):
-        if i == len(subsets):
-            if chosen:
-                yield make_clutter(n, chosen)
-            return
-        yield from rec(i + 1, chosen)
-        S = subsets[i]
-        if not any(E <= S or S <= E for E in chosen):
-            yield from rec(i + 1, chosen + [S])
-
-    yield from rec(0, [])
 
 
 class TestMinimalCoverKernel:

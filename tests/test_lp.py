@@ -23,9 +23,24 @@ from clutterkit import (
     solve_lp,
     structural_mfmc_check,
 )
-from oracles import brute_phi, brute_psi, random_clutter
+from oracles import (
+    all_clutters_with_edges,
+    brute_phi,
+    brute_psi,
+    random_clutter,
+    reference_gap_scan,
+)
 
 DATA = Path(__file__).parent / "data"
+
+# Seeded random nonzero 0/1 rows (random.Random(1) and (2), one
+# random.choice("01") per entry), generated once.
+TALL_FIXTURES = ("tall_1200_rows_8_columns.txt", "tall_600_rows_12_columns.txt")
+
+
+def dense_fixture(name):
+    rows = [tuple(map(int, line)) for line in (DATA / name).read_text().split()]
+    return IncidenceMatrix.from_rows(rows, len(rows[0]))
 
 
 def triangle_matrix():
@@ -121,7 +136,7 @@ class TestPsi:
             M = incidence_matrix(H)
             alpha = tuple(rng.randint(0, 2) for _ in range(M.cols))
             value, y = psi(M, alpha)
-            assert value == brute_psi(M, alpha)
+            assert (value, y) == brute_psi(M, alpha)
             for j in range(M.cols):
                 assert sum(y[i] * M.data[i][j] for i in range(M.rows)) <= alpha[j]
 
@@ -134,14 +149,23 @@ class TestPsi:
             assert report.gap >= 0
 
     def test_node_cap(self):
-        # every pair of 7 columns answers (15,086 nodes); every pair of 9,
-        # from the fixture, passes the cap of 200,000 nodes and is refused
+        # every pair of 7 columns answers (87,012 row visits); every pair of
+        # 9, from the fixture, passes the cap of 2,000,000 row visits and is
+        # refused
         pairs7 = [[int(j in p) for j in range(7)] for p in combinations(range(7), 2)]
         assert psi(IncidenceMatrix.from_rows(pairs7, 7), (2,) * 7)[0] == 7
-        text = (DATA / "all_pairs_of_9_columns.txt").read_text()
-        pairs9 = IncidenceMatrix.from_rows([map(int, line) for line in text.split()], 9)
-        with pytest.raises(ResourceLimitExceeded, match="200001 nodes .* cap of 200000"):
+        pairs9 = dense_fixture("all_pairs_of_9_columns.txt")
+        with pytest.raises(ResourceLimitExceeded, match="2000003 row visits .* cap of 2000000"):
             psi(pairs9, (2,) * 9)
+
+    @pytest.mark.parametrize("name", TALL_FIXTURES)
+    def test_tall_matrix_refused(self, name):
+        # a node reads the cap of every row left: counting row visits refuses
+        # a tall matrix within the cap's time, and the search keeps no
+        # Python stack frame per row
+        M = dense_fixture(name)
+        with pytest.raises(ResourceLimitExceeded, match="row visits"):
+            psi(M, (1,) * M.cols)
 
 
 class TestMonotonicity:
@@ -197,6 +221,23 @@ class TestDualityGapSearch:
                 assert hit[1].gap == witnesses[0][1]
             else:
                 assert hit is None
+
+
+class TestReferenceGapScan:
+    """The one-pass scan returns what the full-table scan returns."""
+
+    @pytest.mark.parametrize("n, box", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 1)])
+    def test_every_clutter(self, n, box):
+        for H in all_clutters_with_edges(n):
+            M = incidence_matrix(H)
+            assert duality_gap_search(M, box) == reference_gap_scan(M, box)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_uniform_class(self, n):
+        # the (n-2)-uniform clutters, one per graph class
+        for G in enumerate_graphs_upto_iso(n, require_edge=True):
+            M = incidence_matrix(clutter_of_graph(G))
+            assert duality_gap_search(M, 2) == reference_gap_scan(M, 2)
 
 
 class TestStructuralCheck:
