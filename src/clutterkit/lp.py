@@ -82,7 +82,8 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
 
     Bounded enumeration, depth first over the rows in order: y_i runs down
     from its cap, the smallest residual objective entry on row i's support,
-    to 0, and a branch is cut when even the caps of the rows left cannot
+    to 0 (the last row takes only its cap: any lower value is a smaller
+    total), and a branch is cut when even the caps of the rows left cannot
     beat the incumbent.  Each node reads the caps of every row left, so the
     search counts row visits (one for a complete y) and refuses once they
     pass PSI_ROW_VISIT_CAP.
@@ -125,12 +126,15 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
             if i < 0:
                 return best_value, best_y
             if y[i]:
-                y[i] -= 1
+                # a lower last entry only lowers the total: zero it and go on
+                step = 1 if i < m - 1 else y[i]
+                y[i] -= step
                 for j in supports[i]:
-                    residual[j] += 1
-                total -= 1
-                i += 1
-                break
+                    residual[j] += step
+                total -= step
+                if i < m - 1:
+                    i += 1
+                    break
 
 
 @dataclass(frozen=True)

@@ -172,31 +172,9 @@ def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcm of generators.
-
-    Generators already contained in the other ideal pass through directly;
-    only the remaining pairs need an lcm.  Both routes land in the same
-    minimal antichain.
-    """
+    """Intersection: the minimal lcms of the generator pairs."""
     _check_same_n(I, J)
-    if I.is_zero or J.is_zero:
-        return MonomialIdeal.zero(I.n)
-    cands: list[Monomial] = []
-    hard_i = []
-    for g in I.gens:
-        if contains_monomial(J, g):
-            cands.append(g)
-        else:
-            hard_i.append(g)
-    hard_j = []
-    for h in J.gens:
-        if contains_monomial(I, h):
-            cands.append(h)
-        else:
-            hard_j.append(h)
-    for g in hard_i:
-        for h in hard_j:
-            cands.append(monomial_lcm(g, h))
+    cands = (monomial_lcm(g, h) for g in I.gens for h in J.gens)
     return MonomialIdeal(I.n, minimal_generators(cands))
 
 
@@ -271,36 +249,42 @@ def prime_power_contains(A: PrimeSupport, k: int, m: Monomial) -> bool:
     return sum(m[v - 1] for v in A) >= k
 
 
-def _prime_power_ideal(n: int, A: PrimeSupport, k: int) -> MonomialIdeal:
-    """k-th power of the variable prime on A: all degree-k monomials in A."""
-    idx = sorted(v - 1 for v in A)
-    gens = []
-    for combo in combinations_with_replacement(idx, k):
-        m = [0] * n
-        for i in combo:
-            m[i] += 1
-        gens.append(tuple(m))
-    return MonomialIdeal(n, tuple(sorted(gens)))
-
-
 def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th symbolic power: intersection of the k-th powers of the minimal primes."""
+    """k-th symbolic power: intersection of the k-th powers of the minimal primes.
+
+    From the unit monomial, each prime power P_A^k is met by the deficit
+    rule: the minimal multiples in P_A^k of a generator g are the g*m for
+    every monomial m on A's variables of degree k - sum_A(g), or g itself
+    when sum_A(g) >= k.
+    """
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
     _require_proper_squarefree(I, "symbolic_power")
     primes = minimal_primes(I)
-    result = _prime_power_ideal(I.n, primes[0], k)
+    gens: tuple[Monomial, ...] = ((0,) * I.n,)
     work = 0
-    for A in primes[1:]:
-        P = _prime_power_ideal(I.n, A, k)
-        work += len(result.gens) * len(P.gens)  # bounds the pairs intersect tests
-        if work > SIMIS_CANDIDATE_CAP:
-            raise ResourceLimitExceeded(
-                f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
-                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
-            )
-        result = intersect(result, P)
-    return result
+    for p, A in enumerate(primes):
+        idx = sorted(v - 1 for v in A)
+        if p:  # the cap predicts the pairs an intersection with P_A^k would test
+            work += len(gens) * comb(len(idx) + k - 1, k)
+            if work > SIMIS_CANDIDATE_CAP:
+                raise ResourceLimitExceeded(
+                    f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
+                    f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
+                )
+        cands: list[Monomial] = []
+        for g in gens:
+            deficit = k - sum(map(g.__getitem__, idx))
+            if deficit <= 0:
+                cands.append(g)
+                continue
+            for combo in combinations_with_replacement(idx, deficit):
+                m = list(g)
+                for i in combo:
+                    m[i] += 1
+                cands.append(tuple(m))
+        gens = minimal_generators(cands)
+    return MonomialIdeal(I.n, gens)
 
 
 @dataclass(frozen=True)
@@ -347,13 +331,16 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
             f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
         )
     P = power(I, k)
-    primes = minimal_primes(I)
+    # minimal_primes yields valid supports: index them once, with none of
+    # prime_power_contains's per-call checks
+    prime_indices = [tuple(v - 1 for v in A) for A in minimal_primes(I)]
     for g in P.gens:
-        if not all(prime_power_contains(A, k, g) for A in primes):
-            raise RuntimeError(
-                f"internal invariant violated: ordinary power generator {g} "
-                f"escapes the symbolic power at k={k}"
-            )
+        for idx in prime_indices:
+            if sum(map(g.__getitem__, idx)) < k:
+                raise RuntimeError(
+                    f"internal invariant violated: ordinary power generator {g} "
+                    f"escapes the symbolic power at k={k}"
+                )
     S = symbolic_power(I, k)
     if P.gens == S.gens:
         return SimisReport(k, True)

@@ -4,24 +4,28 @@ Every oracle here recomputes a quantity along a different route than the
 implementation: membership scans instead of generator arithmetic, plain
 box enumeration instead of pruned search, networkx instead of the
 hand-rolled canonical forms.  ``reference_gap_scan`` is the earlier
-full-table duality-gap scan, kept as the reference for the one-pass scan.
+full-table duality-gap scan, kept as the reference for the one-pass scan;
+``reference_symbolic_power`` is the earlier chain of generic ``intersect``
+calls, kept as the reference for the deficit-rule symbolic power.
 """
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from clutterkit import (
     TRIVIAL,
     Clutter,
     Graph,
     IncidenceMatrix,
+    MonomialIdeal,
     ResourceLimitExceeded,
+    intersect,
     make_clutter,
     make_graph,
     minimalize,
     solve_lp,
 )
 from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
-from clutterkit.monomials import minimal_cover_masks
+from clutterkit.monomials import SIMIS_CANDIDATE_CAP, minimal_cover_masks, minimal_primes
 
 
 def iter_monomials(n, max_degree):
@@ -61,6 +65,39 @@ def symbolic_generators_by_scan(primes, k, n):
         if minimal:
             gens.append(m)
     return tuple(sorted(gens))
+
+
+def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
+    """The k-th symbolic power as a chain of pairwise-lcm intersections.
+
+    Materializes each prime power P_A^k (all degree-k monomials on A) and
+    meets it with the running result through the generic
+    :func:`clutterkit.intersect`.  Same refusal, with the same predicted
+    count and message, as :func:`clutterkit.symbolic_power`.
+    """
+    primes = minimal_primes(I)
+
+    def prime_power(A):
+        gens = []
+        for combo in combinations_with_replacement(sorted(v - 1 for v in A), k):
+            m = [0] * I.n
+            for i in combo:
+                m[i] += 1
+            gens.append(tuple(m))
+        return MonomialIdeal(I.n, tuple(sorted(gens)))
+
+    result = prime_power(primes[0])
+    work = 0
+    for A in primes[1:]:
+        P = prime_power(A)
+        work += len(result.gens) * len(P.gens)
+        if work > SIMIS_CANDIDATE_CAP:
+            raise ResourceLimitExceeded(
+                f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
+                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
+            )
+        result = intersect(result, P)
+    return result
 
 
 def brute_minimalize(gens):

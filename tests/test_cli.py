@@ -173,6 +173,11 @@ class TestLp:
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
 
+    def test_psi_large_objective_entry_answers(self):
+        result = invoke(["lp", "-", "--alpha", "3000000"], input="1\n")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["psi"] == 3000000
+
     @pytest.mark.parametrize("name, cols", [
         ("tall_1200_rows_8_columns.txt", 8), ("tall_600_rows_12_columns.txt", 12),
     ])

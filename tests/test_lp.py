@@ -149,14 +149,20 @@ class TestPsi:
             assert report.gap >= 0
 
     def test_node_cap(self):
-        # every pair of 7 columns answers (87,012 row visits); every pair of
+        # every pair of 7 columns answers (87,011 row visits); every pair of
         # 9, from the fixture, passes the cap of 2,000,000 row visits and is
         # refused
         pairs7 = [[int(j in p) for j in range(7)] for p in combinations(range(7), 2)]
         assert psi(IncidenceMatrix.from_rows(pairs7, 7), (2,) * 7)[0] == 7
         pairs9 = dense_fixture("all_pairs_of_9_columns.txt")
-        with pytest.raises(ResourceLimitExceeded, match="2000003 row visits .* cap of 2000000"):
+        with pytest.raises(ResourceLimitExceeded, match="2000002 row visits .* cap of 2000000"):
             psi(pairs9, (2,) * 9)
+
+    def test_large_objective_entry_on_one_row(self):
+        # the last row takes only its cap, so one row answers in two row
+        # visits however large its objective entry
+        M = IncidenceMatrix.from_rows([[1]], 1)
+        assert psi(M, (3_000_000,)) == (3_000_000, (3_000_000,))
 
     @pytest.mark.parametrize("name", TALL_FIXTURES)
     def test_tall_matrix_refused(self, name):

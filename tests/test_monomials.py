@@ -10,6 +10,8 @@ from clutterkit import (
     MonomialIdeal,
     ResourceLimitExceeded,
     contains_monomial,
+    edge_ideal,
+    enumerate_graphs_upto_iso,
     intersect,
     is_simis,
     make_graph,
@@ -22,9 +24,11 @@ from clutterkit import (
     symbolic_power,
 )
 from oracles import (
+    all_clutters_with_edges,
     brute_minimalize,
     iter_monomials,
     random_squarefree_ideal,
+    reference_symbolic_power,
     symbolic_generators_by_scan,
     symbolic_member,
 )
@@ -278,6 +282,26 @@ class TestSymbolicPower:
                 got = symbolic_power(I, k)
                 assert got.gens == symbolic_generators_by_scan(primes, k, I.n)
 
+    def test_matches_intersection_chain_on_small_clutters(self):
+        # the deficit rule against the generic intersect chain, on every
+        # clutter with n <= 4
+        count = 0
+        for n in range(1, 5):
+            for H in all_clutters_with_edges(n):
+                I = edge_ideal(H)
+                for k in (2, 3, 4):
+                    assert symbolic_power(I, k) == reference_symbolic_power(I, k), (H, k)
+                count += 1
+        assert count == 189
+
+    def test_matches_intersection_chain_on_n6_graph_ideals(self):
+        graphs = enumerate_graphs_upto_iso(6, require_edge=True)
+        assert len(graphs) == 155
+        for G in graphs:
+            I = complementary_edge_ideal(G)
+            for k in (2, 3):
+                assert symbolic_power(I, k) == reference_symbolic_power(I, k), (G, k)
+
     def test_weak_containment(self, rng):
         # ordinary powers always sit inside symbolic powers
         for _ in range(30):
@@ -341,8 +365,12 @@ class TestIsSimis:
         # candidates at k = 2, but 156 minimal primes to intersect
         data = json.loads((DATA / "simis_60_cubics_14_vars.json").read_text())
         I = MonomialIdeal.from_json_dict(data)
-        with pytest.raises(ResourceLimitExceeded, match="156 minimal primes .* cap of 100000"):
+        with pytest.raises(ResourceLimitExceeded, match="156 minimal primes .* cap of 100000") as got:
             symbolic_power(I, 2)
+        # the same predicted count, at the same prime, as the intersect chain
+        with pytest.raises(ResourceLimitExceeded) as ref:
+            reference_symbolic_power(I, 2)
+        assert str(got.value) == str(ref.value)
         with pytest.raises(ResourceLimitExceeded):
             is_simis(I, 2)
 
