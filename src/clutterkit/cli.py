@@ -73,17 +73,20 @@ def _domain(fn, *args, **kwargs):
         raise click.UsageError(f"resource cap exceeded: {exc}") from exc
 
 
+# Every echo names sys.stdout, looked up at call time: with no file, click
+# caches the stream in a WeakKeyDictionary whose value is the stream itself
+# when it is a StringIO, so each redirected stdout would stay alive.
 def _echo_csv(rows) -> None:
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
-    click.echo(buffer.getvalue().rstrip("\n"))
+    click.echo(buffer.getvalue().rstrip("\n"), file=sys.stdout)
 
 
 def _emit(ctx: click.Context, payload: dict) -> None:
     if ctx.obj["format"] == "csv":
         _echo_csv([("key", "value")] + [(k, json.dumps(v)) for k, v in payload.items()])
     else:
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
 
 
 @click.group()
@@ -237,7 +240,7 @@ def verify_theorem_command(ctx, n, k_values, box):
     if ctx.obj["format"] == "csv":
         _echo_csv(report.csv_rows())
     else:
-        click.echo(json.dumps(report.to_json_dict(), indent=2))
+        click.echo(json.dumps(report.to_json_dict(), indent=2), file=sys.stdout)
     if not report.consistent:
         ctx.exit(1)
 

@@ -156,9 +156,14 @@ def minor(H: Clutter, deleted, contracted):
     if any(e == 0 for e in stripped):
         return TRIVIAL
     removed = d_mask | c_mask
-    survivors = [i for i in range(H.n) if not removed >> i & 1]
+    return _compacted(stripped, [i for i in range(H.n) if not removed >> i & 1])
+
+
+def _compacted(masks, survivors) -> Clutter:
+    """The minimal masks relabeled onto `survivors`, ascending 0-based bit
+    positions that cover every mask: survivor j becomes vertex j + 1."""
     out = []
-    for e in _minimal_masks(stripped):
+    for e in _minimal_masks(masks):
         new_e = 0
         for new, old in enumerate(survivors):
             if e >> old & 1:
@@ -207,7 +212,11 @@ class PackingReport:
 
 
 def _subsets_lex(items):
-    """All subsets of a sorted tuple, in lexicographic (DFS prefix) order."""
+    """All subsets of a sorted tuple, in lexicographic (DFS prefix) order.
+
+    This is the order `has_packing` walks in; the reference scan in the
+    tests and perfbench's count of scanned minors read it from here.
+    """
     items = tuple(items)
 
     def rec(start: int, prefix: tuple[int, ...]):
@@ -221,25 +230,64 @@ def _subsets_lex(items):
 def has_packing(H: Clutter) -> PackingReport:
     """Scan all 3^n disjoint (deleted, contracted) pairs for a Konig failure.
 
-    TRIVIAL minors are skipped.  The certificate is the lexicographically
-    first failing pair; vertices keep their original labels.
+    Depth-first in `_subsets_lex` order: D, then C over the vertices D
+    leaves.  Each minor's edges come from its parent's: a deleted vertex
+    drops the edges through it, a contracted one is stripped from them.
+    No minor below a TRIVIAL one or below an edgeless D can fail, so those
+    subtrees are cut.  Cover and matching numbers are memoized for the
+    call, keyed on the stripped edges.  The certificate is the
+    lexicographically first failing pair; vertices keep their original
+    labels.
     """
     if H.n > PACKING_VERTEX_CAP:
         raise ResourceLimitExceeded(
             f"packing scan over 3^{H.n} minors exceeds the cap of {PACKING_VERTEX_CAP} vertices"
         )
-    vertices = tuple(range(1, H.n + 1))
-    for D in _subsets_lex(vertices):
-        rest = tuple(v for v in vertices if v not in D)
-        for C in _subsets_lex(rest):
-            M = minor(H, D, C)
-            if M is TRIVIAL:
+    n = H.n
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def konig_numbers(edges: tuple[int, ...]) -> tuple[int, int]:
+        numbers = memo.get(edges)
+        if numbers is None:
+            # Konig ignores isolated vertices: solve on the covered ones.
+            covered = 0
+            for e in edges:
+                covered |= e
+            M = _compacted(edges, [i for i in range(n) if covered >> i & 1])
+            numbers = memo[edges] = (cover_number(M), matching_number(M))
+        return numbers
+
+    def contract(D, rest, edges, C, start):
+        cov, mat = konig_numbers(edges)
+        if cov != mat:
+            return FailingMinor(D, C, cov, mat)
+        for i in range(start, len(rest)):
+            v = rest[i]
+            keep = ~(1 << (v - 1))
+            stripped = tuple(e & keep for e in edges)
+            if 0 in stripped:
                 continue
-            cov = cover_number(M)
-            mat = matching_number(M)
-            if cov != mat:
-                return PackingReport(False, FailingMinor(D, C, cov, mat))
-    return PackingReport(True)
+            failing = contract(D, rest, stripped, C + (v,), i + 1)
+            if failing is not None:
+                return failing
+        return None
+
+    def delete(D, edges, start):
+        if not edges:
+            return None
+        rest = tuple(v for v in range(1, n + 1) if v not in D)
+        failing = contract(D, rest, edges, (), 0)
+        if failing is not None:
+            return failing
+        for v in range(start, n + 1):
+            bit = 1 << (v - 1)
+            failing = delete(D + (v,), tuple(e for e in edges if not e & bit), v + 1)
+            if failing is not None:
+                return failing
+        return None
+
+    failing = delete((), H.edges, 1)
+    return PackingReport(failing is None, failing)
 
 
 def extend(H: Clutter, r: int) -> Clutter:

@@ -6,7 +6,9 @@ box enumeration instead of pruned search, networkx instead of the
 hand-rolled canonical forms.  ``reference_gap_scan`` is the earlier
 full-table duality-gap scan, kept as the reference for the one-pass scan;
 ``reference_symbolic_power`` is the earlier chain of generic ``intersect``
-calls, kept as the reference for the deficit-rule symbolic power.
+calls, kept as the reference for the deficit-rule symbolic power;
+``reference_has_packing`` is the earlier packing scan that rebuilds every
+minor from H, kept as the reference for the depth-first scan.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -18,12 +20,16 @@ from clutterkit import (
     IncidenceMatrix,
     MonomialIdeal,
     ResourceLimitExceeded,
+    cover_number,
     intersect,
     make_clutter,
     make_graph,
+    matching_number,
     minimalize,
+    minor,
     solve_lp,
 )
+from clutterkit.clutters import PACKING_VERTEX_CAP, FailingMinor, PackingReport, _subsets_lex
 from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
 from clutterkit.monomials import SIMIS_CANDIDATE_CAP, minimal_cover_masks, minimal_primes
 
@@ -166,6 +172,31 @@ def brute_minor(H: Clutter, D, C):
     survivors = [v for v in range(1, H.n + 1) if v not in D | C]
     masks = [sum(1 << i for i, v in enumerate(survivors) if v in E) for E in minimal]
     return Clutter(len(survivors), tuple(sorted(masks)))
+
+
+def reference_has_packing(H: Clutter) -> PackingReport:
+    """Scan all 3^n disjoint (deleted, contracted) pairs for a Konig failure.
+
+    The earlier scan, kept as the reference for the depth-first one: every
+    minor is rebuilt from H by :func:`clutterkit.minor` and solved afresh,
+    in the same `_subsets_lex` order, with the same refusal.
+    """
+    if H.n > PACKING_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"packing scan over 3^{H.n} minors exceeds the cap of {PACKING_VERTEX_CAP} vertices"
+        )
+    vertices = tuple(range(1, H.n + 1))
+    for D in _subsets_lex(vertices):
+        rest = tuple(v for v in vertices if v not in D)
+        for C in _subsets_lex(rest):
+            M = minor(H, D, C)
+            if M is TRIVIAL:
+                continue
+            cov = cover_number(M)
+            mat = matching_number(M)
+            if cov != mat:
+                return PackingReport(False, FailingMinor(D, C, cov, mat))
+    return PackingReport(True)
 
 
 def brute_phi(M: IncidenceMatrix, alpha, cap=1):

@@ -1,7 +1,11 @@
 """CLI contract: subcommands, wire formats, exit codes, stable output."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -236,6 +240,25 @@ class TestVerifyTheoremCommand:
 
 
 class TestOutputStability:
+    @pytest.mark.parametrize("args", [
+        ["packing", "PATH"],
+        ["--csv", "packing", "PATH"],
+        ["verify-theorem", "-n", "3"],
+    ])
+    def test_redirected_stdout_is_released(self, tmp_path, args):
+        # One in-process request, as a caller that redirects stdout makes it:
+        # the output stream must not outlive the request.
+        path = write_json(tmp_path, "h.json", TWO_K2_CLUTTER)
+        args = [path if a == "PATH" else a for a in args]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main.main(args=args, prog_name="clutterkit", standalone_mode=False)
+        assert out.getvalue()
+        released = weakref.ref(out)
+        del out
+        gc.collect()
+        assert released() is None
+
     def test_byte_stable_across_runs(self, tmp_path):
         path = write_json(tmp_path, "g.json", STAR4)
         first = invoke(["simis", path, "-k", "2"]).output

@@ -6,19 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clutterkit import (
+    TRIVIAL,
     IncidenceMatrix,
     complementary_edge_ideal,
     duality_gap_search,
+    extend,
+    has_packing,
     is_simis,
+    make_clutter,
     make_graph,
     minimal_primes,
     minimalize,
+    minor,
     phi,
     power,
     psi,
     symbolic_power,
 )
-from oracles import reference_gap_scan, reference_symbolic_power, symbolic_member
+from oracles import (
+    reference_gap_scan,
+    reference_has_packing,
+    reference_symbolic_power,
+    symbolic_member,
+)
 
 
 @st.composite
@@ -53,6 +63,24 @@ def graph_ideals(draw):
     return complementary_edge_ideal(make_graph(n, edges)), draw(st.integers(2, 3))
 
 
+@st.composite
+def clutters(draw, min_n=2, max_n=6):
+    """A clutter on min_n..max_n vertices from 2 to 8 edges of 2 or 3
+    vertices: a mix of clutters that pack and clutters that do not."""
+    n = draw(st.integers(min_n, max_n))
+    edge = st.frozensets(st.integers(1, n), min_size=2, max_size=3)
+    return make_clutter(n, draw(st.lists(edge, min_size=2, max_size=8, unique=True)))
+
+
+@st.composite
+def clutters_with_minor_steps(draw):
+    """A clutter and a role for each vertex: kept (0), deleted or contracted
+    in a first minor step (1, 2), or in a second one (3, 4)."""
+    H = draw(clutters())
+    roles = draw(st.lists(st.integers(0, 4), min_size=H.n, max_size=H.n))
+    return H, roles
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(scan_instances())
 def test_gap_scan_matches_reference_and_phi_bounds_psi(instance):
@@ -83,3 +111,49 @@ def test_simis_witness_lies_in_symbolic_but_not_ordinary_power(instance):
     assert symbolic_member(minimal_primes(I), k, report.witness)
     for g in power(I, k).gens:
         assert any(e > w for e, w in zip(g, report.witness))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(clutters_with_minor_steps())
+def test_minors_commute(instance):
+    H, roles = instance
+    step = {r: tuple(v for v in range(1, H.n + 1) if roles[v - 1] == r) for r in range(5)}
+    one_step = minor(H, step[1] + step[3], step[2] + step[4])
+    first = minor(H, step[1], step[2])
+    if first is TRIVIAL:
+        assert one_step is TRIVIAL
+        return
+    survivors = [v for v in range(1, H.n + 1) if roles[v - 1] in (0, 3, 4)]
+    label = {v: i + 1 for i, v in enumerate(survivors)}
+    second = minor(first, [label[v] for v in step[3]], [label[v] for v in step[4]])
+    assert second == one_step
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(clutters_with_minor_steps())
+def test_packing_is_closed_under_minors(instance):
+    H, roles = instance
+    report = has_packing(H)
+    if not report.packs:
+        # The failing minor itself fails Konig, at its own identity minor.
+        fm = report.failing_minor
+        own = has_packing(minor(H, fm.deleted, fm.contracted)).failing_minor
+        assert (own.deleted, own.contracted) == ((), ())
+        assert (own.cover_number, own.matching_number) == (fm.cover_number, fm.matching_number)
+        return
+    D = tuple(v for v in range(1, H.n + 1) if roles[v - 1] in (1, 3))
+    C = tuple(v for v in range(1, H.n + 1) if roles[v - 1] in (2, 4))
+    M = minor(H, D, C)
+    assert M is TRIVIAL or has_packing(M).packs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(clutters(max_n=5), st.integers(1, 2))
+def test_packing_is_invariant_under_extend(H, r):
+    assert has_packing(extend(H, r)).packs == has_packing(H).packs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(clutters(min_n=6, max_n=7))
+def test_packing_matches_reference_scan(H):
+    assert has_packing(H) == reference_has_packing(H)
