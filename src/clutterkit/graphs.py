@@ -4,7 +4,10 @@ Covers the correspondence between graphs on n vertices and (n-2)-uniform
 clutters (each clutter edge is the complement of a graph edge), the
 combinatorial primary decomposition of the complementary edge ideal, the
 six-graph classification behind the packing/symbolic-power equivalences,
-and small-graph enumeration up to isomorphism.
+and small-graph enumeration up to isomorphism.  Enumeration has its own
+exact canonizer (the least edge bitmask over all relabelings), separate from
+the incidence-matrix canonical form that isomorphism tests and the
+classification use.
 """
 
 from __future__ import annotations
@@ -200,15 +203,6 @@ def _graph_from_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def _slot_permutation(slots, slot_index, perm) -> list[int]:
-    """Slot map induced by a vertex permutation (perm[i] = image of i)."""
-    out = []
-    for i, j in slots:
-        a, b = perm[i], perm[j]
-        out.append(slot_index[(a, b) if a < b else (b, a)])
-    return out
-
-
 def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
     """Compare canonical forms of the edge-vertex incidence matrices (a simple
     graph is a 2-uniform clutter); capped at 8 vertices."""
@@ -234,72 +228,112 @@ def classify_graph(G: Graph) -> GraphClass:
     return GraphClass("OTHER", isolated_count)
 
 
-def _chunked_tables(slot_map: list[int], n_slots: int, chunk_bits: int = 8):
-    """Per-chunk lookup tables so a slot permutation applies in a few ORs."""
-    tables = []
-    for lo in range(0, n_slots, chunk_bits):
-        width = min(chunk_bits, n_slots - lo)
-        table = [0] * (1 << width)
-        for value in range(1 << width):
-            out = 0
-            v = value
-            s = lo
-            while v:
-                if v & 1:
-                    out |= 1 << slot_map[s]
-                v >>= 1
-                s += 1
-            table[value] = out
-        tables.append((lo, (1 << width) - 1, table))
-    return tables
+def _adjacency(n: int, mask: int, slots: list[tuple[int, int]]) -> list[int]:
+    """Neighbor bitmask of each vertex of the graph with edge bitmask mask."""
+    adj = [0] * n
+    for s, (i, j) in enumerate(slots):
+        if mask >> s & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _twin_representatives(adj: list[int]) -> list[int]:
+    """For each vertex v, the least u with N(u) minus {v} equal to N(v) minus {u}.
+
+    Swapping two such twins is an automorphism that fixes every other
+    vertex.  The twin relation is an equivalence, so comparing v with the
+    representatives found so far suffices.
+    """
+    rep = list(range(len(adj)))
+    for v in range(len(adj)):
+        for u in range(v):
+            if rep[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                rep[v] = u
+                break
+    return rep
+
+
+def _least_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> int:
+    """Least edge bitmask over all relabelings of the graph with this mask.
+
+    Labels are placed from n-1 down to 0.  Placing label t fixes the slots
+    (t, n-1), ..., (t, t+1), and every slot (i, j) with i >= t outranks
+    every slot with i < t, so only the partial labelings whose known bits
+    are least need to be extended.  A state keeps, for each vertex, the
+    bitmask of the labels already placed on its neighbors; the bits label t
+    fixes are that code of the vertex labeled t.  Among the unlabeled
+    vertices one per twin class is tried: swapping two twins is an
+    automorphism that fixes the labels placed so far, so it maps the
+    labelings that start with one twin onto those that start with the other,
+    mask for mask.
+    """
+    adj = _adjacency(n, mask, slots)
+    rep = _twin_representatives(adj)
+    neighbors = [[w for w in range(n) if adj[u] >> w & 1] for u in range(n)]
+    states = [((1 << n) - 1, [0] * n)]
+    least = 0
+    for t in range(n - 1, -1, -1):
+        best = 1 << n
+        chosen = []
+        for free, code in states:
+            tried = 0
+            for u in range(n):
+                if not free >> u & 1 or tried >> rep[u] & 1:
+                    continue
+                tried |= 1 << rep[u]
+                if code[u] < best:
+                    best = code[u]
+                    chosen = []
+                if code[u] == best:
+                    chosen.append((free, code, u))
+        states = []
+        for free, code, u in chosen:
+            new = code.copy()
+            for w in neighbors[u]:
+                new[w] |= 1 << t
+            states.append((free & ~(1 << u), new))
+        least |= (best >> (t + 1)) << (t * (2 * n - t - 1) // 2)
+    return least
 
 
 def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices.
 
-    Classes are found by closing edge-bitmask orbits under adjacent vertex
-    transpositions (which generate the full symmetric group); the
-    representative is the orbit's minimum mask.  Output is sorted by
-    (edge count, representative mask).
+    The representative is the class's least edge bitmask (slot s of
+    ``_pair_slots`` is bit s), as found by ``_least_mask``.  Classes are
+    built one edge count at a time up to half the pairs: every graph with e
+    edges is a graph with e-1 edges plus one, so each class one level down
+    gets each of its non-edges added and every result is reduced to its
+    least mask.  Non-edges whose ends lie in the same two twin classes give
+    isomorphic graphs, so one of them is tried.  The levels above the half
+    are the complements of the levels below, reduced again.  Output is
+    sorted by (edge count, representative mask).
     """
     if not 1 <= n <= ENUMERATION_VERTEX_CAP:
         raise ValueError(
             f"enumeration supports 1 <= n <= {ENUMERATION_VERTEX_CAP}, got {n}"
         )
     slots = _pair_slots(n)
-    slot_index = {p: s for s, p in enumerate(slots)}
     n_slots = len(slots)
-    generators = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        slot_map = _slot_permutation(slots, slot_index, perm)
-        generators.append(_chunked_tables(slot_map, n_slots))
+    levels = [[0]]
+    for _ in range(n_slots // 2):
+        found = set()
+        for mask in levels[-1]:
+            rep = _twin_representatives(_adjacency(n, mask, slots))
+            tried = set()
+            for s, (i, j) in enumerate(slots):
+                pair = (rep[i], rep[j]) if rep[i] < rep[j] else (rep[j], rep[i])
+                if mask >> s & 1 or pair in tried:
+                    continue
+                tried.add(pair)
+                found.add(_least_mask(n, mask | 1 << s, slots))
+        levels.append(sorted(found))
+    full = (1 << n_slots) - 1
+    for e in range(n_slots // 2 + 1, n_slots + 1):
+        levels.append(sorted(_least_mask(n, full ^ m, slots) for m in levels[n_slots - e]))
 
-    total = 1 << n_slots
-    seen = bytearray(total)
-    reps: list[int] = []
-    for start in range(total):
-        if seen[start]:
-            continue
-        best = start
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            mask = stack.pop()
-            for tables in generators:
-                image = 0
-                for lo, chunk_mask, table in tables:
-                    image |= table[(mask >> lo) & chunk_mask]
-                if not seen[image]:
-                    seen[image] = 1
-                    if image < best:
-                        best = image
-                    stack.append(image)
-        reps.append(best)
-
+    reps = [m for level in levels for m in level]
     if require_edge:
-        reps = [m for m in reps if m]
-    reps.sort(key=lambda m: (m.bit_count(), m))
+        reps = reps[1:]
     return [_graph_from_mask(n, m, slots) for m in reps]
-

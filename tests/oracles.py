@@ -8,10 +8,12 @@ full-table duality-gap scan, kept as the reference for the one-pass scan;
 ``reference_symbolic_power`` is the earlier chain of generic ``intersect``
 calls, kept as the reference for the deficit-rule symbolic power;
 ``reference_has_packing`` is the earlier packing scan that rebuilds every
-minor from H, kept as the reference for the depth-first scan.
+minor from H, kept as the reference for the depth-first scan;
+``reference_enumerate_graphs`` is the earlier orbit closure over all edge
+masks, kept as the reference for the edge-count-level enumeration.
 """
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from clutterkit import (
     TRIVIAL,
@@ -30,6 +32,7 @@ from clutterkit import (
     solve_lp,
 )
 from clutterkit.clutters import PACKING_VERTEX_CAP, FailingMinor, PackingReport, _subsets_lex
+from clutterkit.graphs import ENUMERATION_VERTEX_CAP, _graph_from_mask, _pair_slots
 from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
 from clutterkit.monomials import SIMIS_CANDIDATE_CAP, minimal_cover_masks, minimal_primes
 
@@ -333,6 +336,101 @@ def nx_count_classes(n, require_edge=False):
         if not any(nx.is_isomorphic(G, r) for r in reps):
             reps.append(G)
     return len(reps)
+
+
+def _slot_permutation(slots, slot_index, perm) -> list[int]:
+    """Slot map induced by a vertex permutation (perm[i] = image of i)."""
+    out = []
+    for i, j in slots:
+        a, b = perm[i], perm[j]
+        out.append(slot_index[(a, b) if a < b else (b, a)])
+    return out
+
+
+def _chunked_tables(slot_map: list[int], n_slots: int, chunk_bits: int = 8):
+    """Per-chunk lookup tables so a slot permutation applies in a few ORs."""
+    tables = []
+    for lo in range(0, n_slots, chunk_bits):
+        width = min(chunk_bits, n_slots - lo)
+        table = [0] * (1 << width)
+        for value in range(1 << width):
+            out = 0
+            v = value
+            s = lo
+            while v:
+                if v & 1:
+                    out |= 1 << slot_map[s]
+                v >>= 1
+                s += 1
+            table[value] = out
+        tables.append((lo, (1 << width) - 1, table))
+    return tables
+
+
+def reference_enumerate_graphs(n: int, require_edge: bool = False) -> list[Graph]:
+    """One representative per isomorphism class, by orbit closure.
+
+    The earlier enumerator, kept as the reference for the level-by-level
+    one: it visits all 2^C(n,2) edge masks and closes each orbit under
+    adjacent vertex transpositions (which generate the full symmetric
+    group); the representative is the orbit's minimum mask.  Output is
+    sorted by (edge count, representative mask).
+    """
+    if not 1 <= n <= ENUMERATION_VERTEX_CAP:
+        raise ValueError(
+            f"enumeration supports 1 <= n <= {ENUMERATION_VERTEX_CAP}, got {n}"
+        )
+    slots = _pair_slots(n)
+    slot_index = {p: s for s, p in enumerate(slots)}
+    n_slots = len(slots)
+    generators = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        slot_map = _slot_permutation(slots, slot_index, perm)
+        generators.append(_chunked_tables(slot_map, n_slots))
+
+    total = 1 << n_slots
+    seen = bytearray(total)
+    reps: list[int] = []
+    for start in range(total):
+        if seen[start]:
+            continue
+        best = start
+        stack = [start]
+        seen[start] = 1
+        while stack:
+            mask = stack.pop()
+            for tables in generators:
+                image = 0
+                for lo, chunk_mask, table in tables:
+                    image |= table[(mask >> lo) & chunk_mask]
+                if not seen[image]:
+                    seen[image] = 1
+                    if image < best:
+                        best = image
+                    stack.append(image)
+        reps.append(best)
+
+    if require_edge:
+        reps = [m for m in reps if m]
+    reps.sort(key=lambda m: (m.bit_count(), m))
+    return [_graph_from_mask(n, m, slots) for m in reps]
+
+
+def brute_least_mask(n, mask):
+    """Least edge mask over all n! relabelings, pairs (i, j), i < j, numbered
+    in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: s for s, p in enumerate(pairs)}
+    edges = [p for s, p in enumerate(pairs) if mask >> s & 1]
+    best = mask
+    for perm in permutations(range(n)):
+        image = 0
+        for i, j in edges:
+            image |= 1 << index[tuple(sorted((perm[i], perm[j])))]
+        best = min(best, image)
+    return best
 
 
 def all_clutters_with_edges(n):

@@ -1,5 +1,8 @@
 """Graphs, complementary edge ideals, decomposition, classification, enumeration."""
 
+import hashlib
+import json
+
 import pytest
 
 from clutterkit import (
@@ -22,7 +25,8 @@ from clutterkit import (
     minimalize,
     primary_decomposition_cx,
 )
-from oracles import nx_count_classes, nx_isomorphic
+from clutterkit.graphs import _least_mask, _pair_slots
+from oracles import brute_least_mask, nx_count_classes, nx_isomorphic, reference_enumerate_graphs
 
 
 def star4():
@@ -265,6 +269,40 @@ class TestEnumeration:
             enumerate_graphs_upto_iso(8)
         with pytest.raises(ValueError):
             enumerate_graphs_upto_iso(0)
+
+
+def representatives_sha256(graphs):
+    return hashlib.sha256(json.dumps([G.to_json_dict() for G in graphs]).encode()).hexdigest()
+
+
+class TestEnumerationMatchesReference:
+    # sha256 of reference_enumerate_graphs(7, require_edge), which takes
+    # about 6 s per call; the CI workflow checks the same hash for True.
+    REFERENCE_N7_SHA256 = {
+        False: "3dfbf504dccfe8b0280ccbacf9df0a23071d378a620f0761ea8bea4d9e63c739",
+        True: "0483b5e308601beff2ab9cfeb70d4b0a94b431f58a69e169758faba81be59afd",
+    }
+
+    @pytest.mark.parametrize("require_edge", [False, True])
+    def test_equal_lists_up_to_six_vertices(self, require_edge):
+        for n in range(1, 7):
+            assert enumerate_graphs_upto_iso(n, require_edge) == reference_enumerate_graphs(
+                n, require_edge
+            )
+
+    @pytest.mark.parametrize("require_edge", [False, True])
+    def test_seven_vertices_match_pinned_reference(self, require_edge):
+        got = enumerate_graphs_upto_iso(7, require_edge)
+        assert len(got) == (1043 if require_edge else 1044)
+        assert representatives_sha256(got) == self.REFERENCE_N7_SHA256[require_edge]
+
+
+class TestLeastMask:
+    def test_matches_brute_force_minimum_up_to_five_vertices(self):
+        for n in range(1, 6):
+            slots = _pair_slots(n)
+            for mask in range(1 << len(slots)):
+                assert _least_mask(n, mask, slots) == brute_least_mask(n, mask)
 
 
 def simis_equal_for_graph(G, k):

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clutterkit import (
+    REFERENCE_GRAPHS,
     TRIVIAL,
     IncidenceMatrix,
+    clutter_of_graph,
     complementary_edge_ideal,
     duality_gap_search,
     extend,
     has_packing,
+    incidence_matrix,
     is_simis,
     make_clutter,
     make_graph,
@@ -21,8 +24,10 @@ from clutterkit import (
     phi,
     power,
     psi,
+    structural_mfmc_check,
     symbolic_power,
 )
+from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
     reference_gap_scan,
     reference_has_packing,
@@ -79,6 +84,41 @@ def clutters_with_minor_steps(draw):
     H = draw(clutters())
     roles = draw(st.lists(st.integers(0, 4), min_size=H.n, max_size=H.n))
     return H, roles
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """An edge mask on 6 or 7 vertices and a relabeling of the vertices.
+
+    Masks are uniform, or have at most five edges or non-edges, so that
+    graphs with many twins (isolated or universal vertices) come up too.
+    """
+    n = draw(st.integers(6, 7))
+    n_slots = n * (n - 1) // 2
+    full = (1 << n_slots) - 1
+    sparse = st.sets(st.integers(0, n_slots - 1), max_size=5).map(
+        lambda slots: sum(1 << s for s in slots)
+    )
+    mask = draw(st.one_of(st.integers(0, full), sparse, sparse.map(lambda m: full ^ m)))
+    return n, mask, draw(st.permutations(range(n)))
+
+
+@st.composite
+def permuted_uniform_matrices(draw):
+    """The incidence matrix of the (n-2)-uniform clutter of a graph with an
+    edge on 3 to 7 vertices, and the same matrix with its rows and its
+    columns shuffled independently.  Half the graphs are a reference graph
+    plus isolated vertices, the ones the structural check accepts."""
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        edges = draw(st.sampled_from([G.edges for G in REFERENCE_GRAPHS.values() if G.n <= n]))
+    else:
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    M = incidence_matrix(clutter_of_graph(make_graph(n, edges)))
+    rows = draw(st.permutations(M.data))
+    cols = draw(st.permutations(range(n)))
+    return M, IncidenceMatrix.from_rows([[row[c] for c in cols] for row in rows], n)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -157,3 +197,25 @@ def test_packing_is_invariant_under_extend(H, r):
 @given(clutters(min_n=6, max_n=7))
 def test_packing_matches_reference_scan(H):
     assert has_packing(H) == reference_has_packing(H)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(relabeled_graphs())
+def test_least_mask_is_invariant_under_relabeling(instance):
+    n, mask, perm = instance
+    slots = _pair_slots(n)
+    index = {pair: s for s, pair in enumerate(slots)}
+    image = 0
+    for s, (i, j) in enumerate(slots):
+        if mask >> s & 1:
+            image |= 1 << index[tuple(sorted((perm[i], perm[j])))]
+    least = _least_mask(n, mask, slots)
+    assert _least_mask(n, image, slots) == least
+    assert least <= mask and least <= image
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(permuted_uniform_matrices())
+def test_structural_check_is_invariant_under_row_and_column_permutations(instance):
+    M, shuffled = instance
+    assert structural_mfmc_check(shuffled) == structural_mfmc_check(M)
