@@ -235,7 +235,8 @@ def has_packing(H: Clutter) -> PackingReport:
     drops the edges through it, a contracted one is stripped from them.
     No minor below a TRIVIAL one or below an edgeless D can fail, so those
     subtrees are cut.  Cover and matching numbers are memoized for the
-    call, keyed on the stripped edges.  The certificate is the
+    call, keyed on the stripped edges and, on a miss, on the compacted
+    clutter, which many minors share.  The certificate is the
     lexicographically first failing pair; vertices keep their original
     labels.
     """
@@ -245,6 +246,7 @@ def has_packing(H: Clutter) -> PackingReport:
         )
     n = H.n
     memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    solved: dict[Clutter, tuple[int, int]] = {}
 
     def konig_numbers(edges: tuple[int, ...]) -> tuple[int, int]:
         numbers = memo.get(edges)
@@ -254,7 +256,10 @@ def has_packing(H: Clutter) -> PackingReport:
             for e in edges:
                 covered |= e
             M = _compacted(edges, [i for i in range(n) if covered >> i & 1])
-            numbers = memo[edges] = (cover_number(M), matching_number(M))
+            numbers = solved.get(M)
+            if numbers is None:
+                numbers = solved[M] = (cover_number(M), matching_number(M))
+            memo[edges] = numbers
         return numbers
 
     def contract(D, rest, edges, C, start):

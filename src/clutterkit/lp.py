@@ -284,9 +284,13 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
             raise ValueError("zero row is not an edge")
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
+    # Only a base with M's row count can match; most matrices have more
+    # rows than any base, and then the cols! canonical form is never built.
+    candidates = [
+        (index, n - base.cols) for index, (_, base) in enumerate(BASE_MATRICES)
+        if base.rows == M.rows and base.cols <= n
+    ]
+    if not candidates:
+        return False
     form = canonical_form(M)
-    for index, (_, base) in enumerate(BASE_MATRICES):
-        if base.rows == M.rows and base.cols <= n:
-            if form == _base_canonical_form(index, n - base.cols):
-                return True
-    return False
+    return any(form == _base_canonical_form(index, r) for index, r in candidates)

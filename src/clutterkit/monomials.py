@@ -22,6 +22,7 @@ PrimeSupport = frozenset[int]
 
 MINIMAL_COVER_VERTEX_CAP = 20
 SIMIS_CANDIDATE_CAP = 100_000
+SIMIS_SEARCH_CAP = 500_000
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -260,7 +261,11 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
     _require_proper_squarefree(I, "symbolic_power")
-    primes = minimal_primes(I)
+    return _symbolic_power(I, k, minimal_primes(I))
+
+
+def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
+    """:func:`symbolic_power` with the minimal primes of I already known."""
     gens: tuple[Monomial, ...] = ((0,) * I.n,)
     work = 0
     for p, A in enumerate(primes):
@@ -310,9 +315,12 @@ class SimisReport:
 def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     """Decide whether the k-th symbolic and ordinary powers of I coincide.
 
-    Zero and unit ideals trivially report equal.  Raises if the ordinary
-    power ever escapes the symbolic one (that would falsify the
-    implementation, never the mathematics).
+    A squarefree I has I^k inside I^(k), so only the generators of the
+    symbolic power need testing: each is looked for in I^k by a
+    factorization search (:class:`_PowerSearch`), in lex order.  Zero and
+    unit ideals trivially report equal.  Raises if a generator of I misses
+    a minimal prime (that would falsify the implementation, never the
+    mathematics: it is what puts I^k inside I^(k)).
     """
     if k < 1:
         raise ValueError(f"is_simis requires k >= 1, got {k}")
@@ -320,9 +328,11 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
-    # power() multiplies k-1 times by I; the product of I^j (at most
-    # C(g+j-1, j) generators) with the g generators of I tests at most
-    # g * C(g+j-1, j) candidates, and these sum to under g * C(g+k-1, k-1).
+    # The bound is that of building I^k by power(), which this decider does
+    # not do: k-1 products, the one of I^j (at most C(g+j-1, j) generators)
+    # with the g generators of I testing at most g * C(g+j-1, j) candidates,
+    # under g * C(g+k-1, k-1) in all.  It keeps a huge k away from
+    # symbolic_power, whose first prime would expand it.
     n_gens = len(I.gens)
     work = n_gens * comb(n_gens + k - 1, k - 1)
     if work > SIMIS_CANDIDATE_CAP:
@@ -330,21 +340,74 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
             f"building I^{k} from {n_gens} generators tests up to {work} candidate "
             f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
         )
-    P = power(I, k)
-    # minimal_primes yields valid supports: index them once, with none of
-    # prime_power_contains's per-call checks
-    prime_indices = [tuple(v - 1 for v in A) for A in minimal_primes(I)]
-    for g in P.gens:
-        for idx in prime_indices:
-            if sum(map(g.__getitem__, idx)) < k:
+    primes = minimal_primes(I)
+    gen_masks = [_support_mask(g) for g in I.gens]
+    for A in primes:
+        prime_mask = sum(1 << (v - 1) for v in A)
+        for g, mask in zip(I.gens, gen_masks):
+            if not mask & prime_mask:
                 raise RuntimeError(
-                    f"internal invariant violated: ordinary power generator {g} "
-                    f"escapes the symbolic power at k={k}"
+                    f"internal invariant violated: generator {g} misses the minimal "
+                    f"prime {sorted(A)}"
                 )
-    S = symbolic_power(I, k)
-    if P.gens == S.gens:
-        return SimisReport(k, True)
-    for g in S.gens:  # gens are lex-sorted, so the first miss is the witness
-        if not contains_monomial(P, g):
+    search = _PowerSearch(I, k)
+    for g in _symbolic_power(I, k, primes).gens:  # lex order: the first miss is the witness
+        if not search.contains(g):
             return SimisReport(k, False, g)
-    raise RuntimeError("internal invariant violated: unequal ideals with no witness")
+    return SimisReport(k, True)
+
+
+class _PowerSearch:
+    """Membership of monomials in I^k for a squarefree I, by factorization.
+
+    m lies in I^j iff some generator e of I divides m and m/e lies in
+    I^(j-1) (the ordinary power; I^0 is the unit ideal).  A product of j
+    squarefree monomials has no exponent above j, so a state (j, m) keeps
+    m with its exponents clipped to j, which merges equivalent states.  The
+    search is depth first on an explicit stack, so no recursion depth grows
+    with k; states that lie outside their power are remembered for the
+    call.  Every state entered or resumed is one visit, counted over the
+    call against SIMIS_SEARCH_CAP.
+    """
+
+    def __init__(self, I: MonomialIdeal, k: int) -> None:
+        self.k = k
+        self.gens = [(_support_mask(e), e) for e in I.gens]
+        self.bits = [1 << i for i in range(I.n)]
+        self.failed: set[tuple[int, Monomial]] = set()
+        self.visits = 0
+
+    def _visit(self) -> None:
+        self.visits += 1
+        if self.visits > SIMIS_SEARCH_CAP:
+            raise ResourceLimitExceeded(
+                f"searching I^{self.k} for the symbolic generators made {self.visits} "
+                f"state visits (a count, not a prediction), above the cap of {SIMIS_SEARCH_CAP}"
+            )
+
+    def contains(self, g: Monomial) -> bool:
+        """True iff g, with no exponent above k, lies in I^k."""
+        gens, bits, failed = self.gens, self.bits, self.failed
+        # a frame is [state exponents, j, support mask, next generator index]
+        stack = [[g, self.k, sum(b for b, x in zip(bits, g) if x), 0]]
+        while stack:
+            self._visit()
+            frame = stack[-1]
+            m, j, support, start = frame
+            for t in range(start, len(gens)):
+                mask, e = gens[t]
+                if mask & ~support:
+                    continue
+                if j == 1:
+                    return True
+                j1 = j - 1
+                child = tuple(j1 if x == j else x - y for x, y in zip(m, e))
+                if (j1, child) in failed:
+                    continue
+                frame[3] = t + 1
+                stack.append([child, j1, sum(b for b, x in zip(bits, child) if x), 0])
+                break
+            else:
+                failed.add((j, m))
+                stack.pop()
+        return False

@@ -10,10 +10,15 @@ calls, kept as the reference for the deficit-rule symbolic power;
 ``reference_has_packing`` is the earlier packing scan that rebuilds every
 minor from H, kept as the reference for the depth-first scan;
 ``reference_enumerate_graphs`` is the earlier orbit closure over all edge
-masks, kept as the reference for the edge-count-level enumeration.
+masks, kept as the reference for the edge-count-level enumeration;
+``reference_is_simis`` is the earlier simis decider that builds I^k,
+kept as the reference for the factorization search;
+``reference_structural_mfmc_check`` is the earlier structural check that
+builds the canonical form before it compares row counts.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from clutterkit import (
     TRIVIAL,
@@ -22,6 +27,7 @@ from clutterkit import (
     IncidenceMatrix,
     MonomialIdeal,
     ResourceLimitExceeded,
+    contains_monomial,
     cover_number,
     intersect,
     make_clutter,
@@ -29,12 +35,25 @@ from clutterkit import (
     matching_number,
     minimalize,
     minor,
+    power,
     solve_lp,
+    symbolic_power,
 )
-from clutterkit.clutters import PACKING_VERTEX_CAP, FailingMinor, PackingReport, _subsets_lex
+from clutterkit.clutters import (
+    PACKING_VERTEX_CAP,
+    FailingMinor,
+    PackingReport,
+    _subsets_lex,
+    canonical_form,
+)
 from clutterkit.graphs import ENUMERATION_VERTEX_CAP, _graph_from_mask, _pair_slots
-from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
-from clutterkit.monomials import SIMIS_CANDIDATE_CAP, minimal_cover_masks, minimal_primes
+from clutterkit.lp import BASE_MATRICES, SCAN_STATE_CAP, _base_canonical_form, _checked_alpha
+from clutterkit.monomials import (
+    SIMIS_CANDIDATE_CAP,
+    SimisReport,
+    minimal_cover_masks,
+    minimal_primes,
+)
 
 
 def iter_monomials(n, max_degree):
@@ -107,6 +126,73 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
             )
         result = intersect(result, P)
     return result
+
+
+def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
+    """Compare the k-th symbolic and ordinary powers by building both.
+
+    The earlier decider, kept as the reference for the factorization
+    search: I^k comes from :func:`clutterkit.power`, every generator of it
+    is checked against the k-th powers of the minimal primes, and the
+    witness is the lex-first generator of I^(k) that no generator of I^k
+    divides.  Same up-front refusal, with the same message, as
+    :func:`clutterkit.is_simis`.
+    """
+    if k < 1:
+        raise ValueError(f"is_simis requires k >= 1, got {k}")
+    if I.is_zero or I.is_unit:
+        return SimisReport(k, True)
+    if not I.is_squarefree:
+        raise ValueError("is_simis requires squarefree generators")
+    n_gens = len(I.gens)
+    work = n_gens * comb(n_gens + k - 1, k - 1)
+    if work > SIMIS_CANDIDATE_CAP:
+        raise ResourceLimitExceeded(
+            f"building I^{k} from {n_gens} generators tests up to {work} candidate "
+            f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
+        )
+    P = power(I, k)
+    prime_indices = [tuple(v - 1 for v in A) for A in minimal_primes(I)]
+    for g in P.gens:
+        for idx in prime_indices:
+            if sum(map(g.__getitem__, idx)) < k:
+                raise RuntimeError(
+                    f"internal invariant violated: ordinary power generator {g} "
+                    f"escapes the symbolic power at k={k}"
+                )
+    S = symbolic_power(I, k)
+    if P.gens == S.gens:
+        return SimisReport(k, True)
+    for g in S.gens:
+        if not contains_monomial(P, g):
+            return SimisReport(k, False, g)
+    raise RuntimeError("internal invariant violated: unequal ideals with no witness")
+
+
+def reference_structural_mfmc_check(M: IncidenceMatrix) -> bool:
+    """The structural no-gap check that builds M's canonical form first.
+
+    The earlier check, kept as the reference for the one that compares row
+    counts before it builds a canonical form: same input errors, and the
+    8-column cap of :func:`clutterkit.clutters.canonical_form` applies to
+    every matrix.
+    """
+    n = M.cols
+    for row in M.data:
+        if sum(row) != n - 2:
+            raise ValueError(
+                f"row sum {sum(row)} differs from cols-2 = {n - 2}: {row!r}"
+            )
+        if not any(row):
+            raise ValueError("zero row is not an edge")
+    if len(set(M.data)) != M.rows:
+        raise ValueError("rows must be pairwise distinct")
+    form = canonical_form(M)
+    for index, (_, base) in enumerate(BASE_MATRICES):
+        if base.rows == M.rows and base.cols <= n:
+            if form == _base_canonical_form(index, n - base.cols):
+                return True
+    return False
 
 
 def brute_minimalize(gens):

@@ -111,6 +111,18 @@ class TestKoenigClassifyDecompose:
         payload = json.loads(invoke(["koenig", path]).output)
         assert payload == {"koenig": True, "cover_number": 2, "matching_number": 2}
 
+    def test_koenig_solves_each_number_once(self, monkeypatch, tmp_path):
+        import clutterkit.cli as cli
+
+        calls = []
+        for name in ("cover_number", "matching_number"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda H, f=original, name=name: calls.append(name) or f(H))
+        path = write_json(tmp_path, "h.json", PAW_CLUTTER)
+        payload = json.loads(invoke(["koenig", path]).output)
+        assert payload == {"koenig": True, "cover_number": 2, "matching_number": 2}
+        assert sorted(calls) == ["cover_number", "matching_number"]
+
     def test_classify(self, tmp_path):
         path = write_json(tmp_path, "g.json", {"n": 5, "edges": [[1, 2], [2, 3], [3, 4]]})
         payload = json.loads(invoke(["classify", path]).output)

@@ -22,6 +22,7 @@ from clutterkit import (
     minimal_primes,
     minor,
 )
+from clutterkit import clutters as clutters_module
 from clutterkit.clutters import IncidenceMatrix, canonical_form
 from oracles import (
     all_clutters_with_edges,
@@ -345,6 +346,19 @@ class TestPackingMatchesReference:
         for H in all_clutters_with_edges(5):
             digest.update(json.dumps(has_packing(H).to_json_dict()).encode() + b"\n")
         assert digest.hexdigest() == self.N5_REPORTS_SHA256
+
+    def test_minors_that_compact_alike_are_solved_once(self, monkeypatch):
+        # six disjoint edges: 4,095 memo misses on the stripped edges, but
+        # only 126 distinct compacted clutters, one per nonempty sequence of
+        # at most six pairs and singletons in label order (2 + 4 + ... + 64)
+        calls = []
+        original = clutters_module.cover_number
+        monkeypatch.setattr(clutters_module, "cover_number",
+                            lambda H: calls.append(H) or original(H))
+        H = make_clutter(12, [(2 * i + 1, 2 * i + 2) for i in range(6)])
+        assert has_packing(H).packs
+        assert len(calls) <= 126
+        assert len(set(calls)) == len(calls)
 
     def test_benchmark_pool_packing_instances(self):
         instances = json.loads(POOL.read_text())["instances"]

@@ -29,6 +29,7 @@ from oracles import (
     brute_psi,
     random_clutter,
     reference_gap_scan,
+    reference_structural_mfmc_check,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -283,6 +284,23 @@ class TestStructuralCheck:
         )
         with pytest.raises(ResourceLimitExceeded):
             structural_mfmc_check(M)
+
+    def test_no_base_with_the_row_count_answers_without_the_cap(self):
+        # 9 columns are over the canonical form's cap, but no base has 5 rows
+        M = incidence_matrix(
+            make_clutter(9, [tuple(v for v in range(1, 10) if v not in (a, a + 1))
+                             for a in range(1, 6)])
+        )
+        assert M.rows == 5
+        assert structural_mfmc_check(M) is False
+        with pytest.raises(ResourceLimitExceeded):
+            reference_structural_mfmc_check(M)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_reference_on_every_uniform_class(self, n):
+        for G in enumerate_graphs_upto_iso(n, require_edge=True):
+            M = incidence_matrix(clutter_of_graph(G))
+            assert structural_mfmc_check(M) == reference_structural_mfmc_check(M), G
 
     def test_bases_match_their_reference_clutters(self):
         from clutterkit import REFERENCE_GRAPHS

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from clutterkit import monomials
 from clutterkit import (
     DimensionMismatch,
     MonomialIdeal,
@@ -28,12 +29,14 @@ from oracles import (
     brute_minimalize,
     iter_monomials,
     random_squarefree_ideal,
+    reference_is_simis,
     reference_symbolic_power,
     symbolic_generators_by_scan,
     symbolic_member,
 )
 
 DATA = Path(__file__).parent / "data"
+POOL = Path(__file__).parents[1] / "perfbench" / "pool.json"
 
 
 def star_complement_ideal():
@@ -345,6 +348,8 @@ class TestIsSimis:
 
     def test_principal_high_degree(self):
         assert is_simis(minimalize([(1, 1)], 2), 5).equal
+        # one state per degree, on an explicit stack: no recursion depth in k
+        assert is_simis(minimalize([(1, 1)], 2), 50_000).equal
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
@@ -373,6 +378,39 @@ class TestIsSimis:
         assert str(got.value) == str(ref.value)
         with pytest.raises(ResourceLimitExceeded):
             is_simis(I, 2)
+
+    def test_search_cap_counts_state_visits(self, monkeypatch):
+        # the C4 complement ideal is equal at k = 2; its search makes more
+        # than 5 visits, and the message gives the count that crossed the cap
+        I = complementary_edge_ideal(make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+        monkeypatch.setattr(monomials, "SIMIS_SEARCH_CAP", 5)
+        with pytest.raises(ResourceLimitExceeded, match=r"made 6 state visits .* cap of 5$"):
+            is_simis(I, 2)
+
+    def test_matches_reference_on_every_small_clutter(self):
+        for n in range(1, 5):
+            for H in all_clutters_with_edges(n):
+                I = edge_ideal(H)
+                for k in (2, 3, 4):
+                    assert is_simis(I, k) == reference_is_simis(I, k), (H, k)
+
+    def test_matches_reference_on_six_vertex_classes(self):
+        graphs = enumerate_graphs_upto_iso(6, require_edge=True)
+        assert len(graphs) == 155
+        for G in graphs:
+            I = complementary_edge_ideal(G)
+            for k in (2, 3):
+                assert is_simis(I, k) == reference_is_simis(I, k), (G, k)
+
+    def test_matches_reference_on_benchmark_pool(self):
+        instances = [i for i in json.loads(POOL.read_text())["instances"] if i["kind"] == "simis"]
+        assert len(instances) == 14
+        for i in instances:
+            if i["form"] == "graph":
+                I = complementary_edge_ideal(make_graph(i["n"], i["edges"]))
+            else:
+                I = minimalize(i["gens"], i["n"])
+            assert is_simis(I, i["k"]) == reference_is_simis(I, i["k"]), i
 
     def test_witness_is_lex_first_failure(self, rng):
         for _ in range(30):

@@ -31,6 +31,7 @@ from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
     reference_gap_scan,
     reference_has_packing,
+    reference_is_simis,
     reference_symbolic_power,
     symbolic_member,
 )
@@ -151,6 +152,13 @@ def test_simis_witness_lies_in_symbolic_but_not_ordinary_power(instance):
     assert symbolic_member(minimal_primes(I), k, report.witness)
     for g in power(I, k).gens:
         assert any(e > w for e, w in zip(g, report.witness))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(squarefree_ideals(), graph_ideals()))
+def test_simis_matches_the_ordinary_power_reference(instance):
+    I, k = instance
+    assert is_simis(I, k) == reference_is_simis(I, k)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
