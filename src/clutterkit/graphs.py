@@ -4,10 +4,9 @@ Covers the correspondence between graphs on n vertices and (n-2)-uniform
 clutters (each clutter edge is the complement of a graph edge), the
 combinatorial primary decomposition of the complementary edge ideal, the
 six-graph classification behind the packing/symbolic-power equivalences,
-and small-graph enumeration up to isomorphism.  Enumeration has its own
-exact canonizer (the least edge bitmask over all relabelings), separate from
-the incidence-matrix canonical form that isomorphism tests and the
-classification use.
+and small-graph enumeration up to isomorphism.  Enumeration, isomorphism
+and classification share one exact canonizer: the least edge bitmask over
+all relabelings.
 """
 
 from __future__ import annotations
@@ -15,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .clutters import Clutter, canonical_form, incidence_matrix, make_clutter
+from .clutters import Clutter, make_clutter
+from .errors import ResourceLimitExceeded
 from .monomials import MonomialIdeal, PrimeSupport, intersect, minimalize
 
 ENUMERATION_VERTEX_CAP = 7
+ISOMORPHISM_VERTEX_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -28,18 +29,8 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a - 1] += 1
-            deg[b - 1] += 1
-        return tuple(sorted(deg))
-
     def isolated_vertices(self) -> tuple[int, ...]:
-        touched = set()
-        for a, b in self.edges:
-            touched.add(a)
-            touched.add(b)
+        touched = {v for edge in self.edges for v in edge}
         return tuple(v for v in range(1, self.n + 1) if v not in touched)
 
     def complement(self) -> "Graph":
@@ -61,11 +52,10 @@ class Graph:
 
     def strip_isolated(self) -> tuple["Graph", int]:
         """Graph induced on the non-isolated vertices (compact relabeling)."""
-        isolated = set(self.isolated_vertices())
-        survivors = [v for v in range(1, self.n + 1) if v not in isolated]
+        survivors = sorted({v for edge in self.edges for v in edge})
         relabel = {old: new for new, old in enumerate(survivors, start=1)}
         edges = tuple(sorted((relabel[a], relabel[b]) for a, b in self.edges))
-        return Graph(len(survivors), edges), len(isolated)
+        return Graph(len(survivors), edges), self.n - len(survivors)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -203,31 +193,6 @@ def _graph_from_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
-    """Compare canonical forms of the edge-vertex incidence matrices (a simple
-    graph is a 2-uniform clutter); capped at 8 vertices."""
-    if G1.n != G2.n or len(G1.edges) != len(G2.edges):
-        return False
-    if G1.degree_sequence() != G2.degree_sequence():
-        return False
-
-    def form(G: Graph):
-        return canonical_form(incidence_matrix(make_clutter(G.n, G.edges)))
-
-    return form(G1) == form(G2)
-
-
-def classify_graph(G: Graph) -> GraphClass:
-    """Match the isolated-vertex-stripped graph against the six references."""
-    stripped, isolated_count = G.strip_isolated()
-    if not stripped.edges:
-        return GraphClass("OTHER", isolated_count)
-    for label, ref in REFERENCE_GRAPHS.items():
-        if stripped.n == ref.n and graphs_isomorphic(stripped, ref):
-            return GraphClass(label, isolated_count)
-    return GraphClass("OTHER", isolated_count)
-
-
 def _adjacency(n: int, mask: int, slots: list[tuple[int, int]]) -> list[int]:
     """Neighbor bitmask of each vertex of the graph with edge bitmask mask."""
     adj = [0] * n
@@ -295,6 +260,40 @@ def _least_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> int:
             states.append((free & ~(1 << u), new))
         least |= (best >> (t + 1)) << (t * (2 * n - t - 1) // 2)
     return least
+
+
+def _canonical_mask(G: Graph) -> int:
+    """G's least edge bitmask over all relabelings (see ``_least_mask``)."""
+    slots = _pair_slots(G.n)
+    mask = sum(1 << slots.index((a - 1, b - 1)) for a, b in G.edges)
+    return _least_mask(G.n, mask, slots)
+
+
+def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
+    """Compare vertex counts and least edge masks; capped at 8 vertices, as
+    the canonizer slows down on symmetric graphs."""
+    if G1.n != G2.n or len(G1.edges) != len(G2.edges):
+        return False
+    if G1.n > ISOMORPHISM_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"isomorphism test capped at {ISOMORPHISM_VERTEX_CAP} vertices, got {G1.n}"
+        )
+    return _canonical_mask(G1) == _canonical_mask(G2)
+
+
+# (vertex count, least edge mask) -> label, for the six references
+_REFERENCE_LABELS = {(G.n, _canonical_mask(G)): label for label, G in REFERENCE_GRAPHS.items()}
+_REFERENCE_VERTEX_MAX = max(G.n for G in REFERENCE_GRAPHS.values())
+
+
+def classify_graph(G: Graph) -> GraphClass:
+    """Look the isolated-vertex-stripped graph up among the six references;
+    one larger than every reference is OTHER without being canonized."""
+    stripped, isolated_count = G.strip_isolated()
+    label = "OTHER"
+    if stripped.n <= _REFERENCE_VERTEX_MAX:
+        label = _REFERENCE_LABELS.get((stripped.n, _canonical_mask(stripped)), label)
+    return GraphClass(label, isolated_count)
 
 
 def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]:

@@ -10,13 +10,13 @@ a coordinate above 1 never helps), which the tests cross-check against a
 wider box.  The module also provides the all-ones column extension, the
 duality-gap scan (one lexicographic pass over a bounded alpha box that
 stops at the first gap), and the structural characterization of the
-matrices with no gap anywhere (row sums n-2).
+matrices with no gap anywhere (row sums n-2) by canonical forms without the
+all-ones columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, product
 
 from .clutters import IncidenceMatrix, canonical_form
@@ -234,34 +234,33 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
 
 # --- structural characterization of gap-free row-sum-(n-2) matrices --------
 
-def _base_matrices() -> tuple[tuple[str, IncidenceMatrix], ...]:
-    """Incidence matrices of the clutters of the six reference graphs.
-
-    The two-vertex complete graph contributes two bases: its own clutter is
-    edgeless (0x2), and since appending universal vertices to an edgeless
-    clutter cannot create edges, the single-edge clutter it induces once an
-    isolated vertex is present (1x3) must be a base of its own.
-    """
-    def mat(rows, cols):
-        return IncidenceMatrix.from_rows(rows, cols)
-
-    return (
-        ("K2", mat([], 2)),
-        ("K2+isolated", mat([(0, 0, 1)], 3)),
-        ("K3", mat([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)),
-        ("P3", mat([(0, 0, 1), (1, 0, 0)], 3)),
-        ("2K2", mat([(1, 1, 0, 0), (0, 0, 1, 1)], 4)),
-        ("P4", mat([(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)], 4)),
-        ("C4", mat([(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)], 4)),
+# Incidence matrices of the clutters of the six reference graphs.  K2 gives
+# two bases: its own clutter is edgeless (0x2), and since appending universal
+# vertices to an edgeless clutter cannot create edges, the single-edge clutter
+# it induces once an isolated vertex is present (1x3) is a base of its own.
+BASE_MATRICES = tuple(
+    (label, IncidenceMatrix.from_rows(rows, cols))
+    for label, rows, cols in (
+        ("K2", [], 2),
+        ("K2+isolated", [(0, 0, 1)], 3),
+        ("K3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        ("P3", [(0, 0, 1), (1, 0, 0)], 3),
+        ("2K2", [(1, 1, 0, 0), (0, 0, 1, 1)], 4),
+        ("P4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)], 4),
+        ("C4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)], 4),
     )
+)
 
 
-BASE_MATRICES = _base_matrices()
+def _stripped_form(M: IncidenceMatrix):
+    """Canonical form of M without its all-ones columns (all, if M has no rows)."""
+    keep = [j for j, column in enumerate(zip(*M.data)) if not all(column)]
+    data = tuple(tuple(row[j] for j in keep) for row in M.data)
+    return canonical_form(IncidenceMatrix(M.rows, len(keep), data))
 
 
-@lru_cache(maxsize=None)
-def _base_canonical_form(base_index: int, r: int):
-    return canonical_form(extend_matrix(BASE_MATRICES[base_index][1], r))
+# (rows, cols, stripped form) of each base
+_BASE_FORMS = tuple((base.rows, base.cols, _stripped_form(base)) for _, base in BASE_MATRICES)
 
 
 def structural_mfmc_check(M: IncidenceMatrix) -> bool:
@@ -273,6 +272,10 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
     whose equal-size edges are automatically an antichain).  This is the
     theorem-exact predicate for "no duality gap at any objective"; the
     bounded alpha scan is the falsification tool.
+
+    Permutations map all-ones columns to all-ones columns, so M matches
+    ``extend_matrix(B, n - B.cols)`` iff n >= B.cols and both match once
+    their all-ones columns are dropped, leaving at most 2 * rows columns.
     """
     n = M.cols
     for row in M.data:
@@ -284,13 +287,9 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
             raise ValueError("zero row is not an edge")
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
-    # Only a base with M's row count can match; most matrices have more
-    # rows than any base, and then the cols! canonical form is never built.
-    candidates = [
-        (index, n - base.cols) for index, (_, base) in enumerate(BASE_MATRICES)
-        if base.rows == M.rows and base.cols <= n
-    ]
+    # Only a base with M's row count (at most 4) can match; most matrices
+    # have more rows than any base, and then no canonical form is built.
+    candidates = [form for rows, cols, form in _BASE_FORMS if rows == M.rows and cols <= n]
     if not candidates:
         return False
-    form = canonical_form(M)
-    return any(form == _base_canonical_form(index, r) for index, r in candidates)
+    return _stripped_form(M) in candidates

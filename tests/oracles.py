@@ -14,13 +14,17 @@ masks, kept as the reference for the edge-count-level enumeration;
 ``reference_is_simis`` is the earlier simis decider that builds I^k,
 kept as the reference for the factorization search;
 ``reference_structural_mfmc_check`` is the earlier structural check that
-builds the canonical form before it compares row counts.
+builds the canonical form of the whole matrix before it compares row counts;
+``reference_classify_graph`` is the earlier classification by canonical
+forms of incidence matrices, kept as the reference for the least-mask
+lookup.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 from clutterkit import (
+    REFERENCE_GRAPHS,
     TRIVIAL,
     Clutter,
     Graph,
@@ -29,6 +33,8 @@ from clutterkit import (
     ResourceLimitExceeded,
     contains_monomial,
     cover_number,
+    extend_matrix,
+    incidence_matrix,
     intersect,
     make_clutter,
     make_graph,
@@ -46,8 +52,8 @@ from clutterkit.clutters import (
     _subsets_lex,
     canonical_form,
 )
-from clutterkit.graphs import ENUMERATION_VERTEX_CAP, _graph_from_mask, _pair_slots
-from clutterkit.lp import BASE_MATRICES, SCAN_STATE_CAP, _base_canonical_form, _checked_alpha
+from clutterkit.graphs import ENUMERATION_VERTEX_CAP, GraphClass, _graph_from_mask, _pair_slots
+from clutterkit.lp import BASE_MATRICES, SCAN_STATE_CAP, _checked_alpha
 from clutterkit.monomials import (
     SIMIS_CANDIDATE_CAP,
     SimisReport,
@@ -173,9 +179,10 @@ def reference_structural_mfmc_check(M: IncidenceMatrix) -> bool:
     """The structural no-gap check that builds M's canonical form first.
 
     The earlier check, kept as the reference for the one that compares row
-    counts before it builds a canonical form: same input errors, and the
-    8-column cap of :func:`clutterkit.clutters.canonical_form` applies to
-    every matrix.
+    counts first and then canonical forms without the all-ones columns:
+    same input errors, and the 8-column cap of
+    :func:`clutterkit.clutters.canonical_form` applies to every matrix.
+    Each candidate base is extended to M's width and canonized in full.
     """
     n = M.cols
     for row in M.data:
@@ -188,11 +195,42 @@ def reference_structural_mfmc_check(M: IncidenceMatrix) -> bool:
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
     form = canonical_form(M)
-    for index, (_, base) in enumerate(BASE_MATRICES):
+    for _, base in BASE_MATRICES:
         if base.rows == M.rows and base.cols <= n:
-            if form == _base_canonical_form(index, n - base.cols):
+            if form == canonical_form(extend_matrix(base, n - base.cols)):
                 return True
     return False
+
+
+def reference_classify_graph(G: Graph) -> GraphClass:
+    """Classification by canonical forms of edge-vertex incidence matrices.
+
+    The earlier classification, kept as the reference for the least-mask
+    lookup: the isolated-vertex-stripped graph is compared with each
+    reference of its vertex count by edge count, degree sequence and the
+    canonical form of its incidence matrix (a simple graph is a 2-uniform
+    clutter).
+    """
+    def degree_sequence(H):
+        degrees = [0] * H.n
+        for a, b in H.edges:
+            degrees[a - 1] += 1
+            degrees[b - 1] += 1
+        return sorted(degrees)
+
+    def form(H):
+        return canonical_form(incidence_matrix(make_clutter(H.n, H.edges)))
+
+    stripped, isolated_count = G.strip_isolated()
+    if stripped.edges:
+        for label, ref in REFERENCE_GRAPHS.items():
+            if (
+                (stripped.n, len(stripped.edges)) == (ref.n, len(ref.edges))
+                and degree_sequence(stripped) == degree_sequence(ref)
+                and form(stripped) == form(ref)
+            ):
+                return GraphClass(label, isolated_count)
+    return GraphClass("OTHER", isolated_count)
 
 
 def brute_minimalize(gens):

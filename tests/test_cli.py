@@ -172,6 +172,15 @@ class TestLp:
         payload = json.loads(invoke(["lp", path, "--structural"]).output)
         assert payload["structural_mfmc"] is False
 
+    @pytest.mark.parametrize("dense", [
+        "0011111111\n1100111111\n",  # 2K2 plus 6 isolated vertices
+        "001111111\n100111111\n110011111\n",  # P4 plus 5 isolated vertices
+    ])
+    def test_structural_answers_past_the_column_cap(self, dense):
+        result = invoke(["lp", "-", "--structural"], input=dense)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["structural_mfmc"] is True
+
     def test_requires_an_action(self, tmp_path):
         path = write_json(tmp_path, "m.json", TRIANGLE_MATRIX)
         assert invoke(["lp", path]).exit_code == 2

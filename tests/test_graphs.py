@@ -26,7 +26,13 @@ from clutterkit import (
     primary_decomposition_cx,
 )
 from clutterkit.graphs import _least_mask, _pair_slots
-from oracles import brute_least_mask, nx_count_classes, nx_isomorphic, reference_enumerate_graphs
+from oracles import (
+    brute_least_mask,
+    nx_count_classes,
+    nx_isomorphic,
+    reference_classify_graph,
+    reference_enumerate_graphs,
+)
 
 
 def star4():
@@ -197,6 +203,15 @@ class TestClassification:
         got = classify_graph(G)
         assert (got.label, got.isolated_count) == ("C4", 2)
 
+    def test_long_path_is_other(self):
+        got = classify_graph(make_graph(40, [(v, v + 1) for v in range(1, 40)]))
+        assert (got.label, got.isolated_count) == ("OTHER", 0)
+
+    def test_matches_reference_on_every_class(self):
+        for n in range(1, 8):
+            for G in enumerate_graphs_upto_iso(n):
+                assert classify_graph(G) == reference_classify_graph(G), G
+
 
 class TestIsomorphism:
     def test_relabeled_cycle(self):
@@ -222,6 +237,26 @@ class TestIsomorphism:
                 return make_graph(n, edges)
 
             G1, G2 = rand_graph(), rand_graph()
+            assert graphs_isomorphic(G1, G2) == nx_isomorphic(G1, G2)
+
+    def test_networkx_agreement_six_to_eight_vertices(self, rng):
+        # A relabeled copy, or a copy with one degree-preserving edge swap:
+        # same vertex count, edge count and degrees, isomorphic or not.
+        for _ in range(100):
+            n = rng.randint(6, 8)
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            edges = {p for p in pairs if rng.random() < 0.5}
+            other = edges
+            for _ in range(20 if rng.random() < 0.5 and len(edges) >= 2 else 0):
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                new = {tuple(sorted((a, d))), tuple(sorted((b, c)))}
+                if len({a, b, c, d}) == 4 and not edges & new:
+                    other = (edges - {(a, b), (c, d)}) | new
+                    break
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            G1 = make_graph(n, edges)
+            G2 = make_graph(n, [(perm[a - 1], perm[b - 1]) for a, b in other])
             assert graphs_isomorphic(G1, G2) == nx_isomorphic(G1, G2)
 
     def test_cap(self):

@@ -278,12 +278,15 @@ class TestStructuralCheck:
             )
 
     def test_column_cap(self):
+        # P4 plus 5 isolated vertices: 9 columns, over the canonical form's
+        # cap, but only 4 are left once the all-ones columns are dropped
         M = incidence_matrix(
             make_clutter(9, [tuple(v for v in range(1, 10) if v not in (a, a + 1))
                              for a in range(1, 4)])
         )
+        assert structural_mfmc_check(M) is True
         with pytest.raises(ResourceLimitExceeded):
-            structural_mfmc_check(M)
+            reference_structural_mfmc_check(M)
 
     def test_no_base_with_the_row_count_answers_without_the_cap(self):
         # 9 columns are over the canonical form's cap, but no base has 5 rows
@@ -301,6 +304,14 @@ class TestStructuralCheck:
         for G in enumerate_graphs_upto_iso(n, require_edge=True):
             M = incidence_matrix(clutter_of_graph(G))
             assert structural_mfmc_check(M) == reference_structural_mfmc_check(M), G
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_all_ones_columns_keep_the_answer(self, n):
+        for G in enumerate_graphs_upto_iso(n, require_edge=True):
+            M = incidence_matrix(clutter_of_graph(G))
+            expected = structural_mfmc_check(M)
+            for r in range(1, 5):
+                assert structural_mfmc_check(extend_matrix(M, r)) == expected, (G, r)
 
     def test_bases_match_their_reference_clutters(self):
         from clutterkit import REFERENCE_GRAPHS

@@ -9,6 +9,7 @@ from clutterkit import (
     REFERENCE_GRAPHS,
     TRIVIAL,
     IncidenceMatrix,
+    classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
     duality_gap_search,
@@ -106,20 +107,21 @@ def relabeled_graphs(draw):
 
 @st.composite
 def permuted_uniform_matrices(draw):
-    """The incidence matrix of the (n-2)-uniform clutter of a graph with an
-    edge on 3 to 7 vertices, and the same matrix with its rows and its
-    columns shuffled independently.  Half the graphs are a reference graph
-    plus isolated vertices, the ones the structural check accepts."""
-    n = draw(st.integers(3, 7))
+    """A graph with an edge on 3 to 10 vertices, the incidence matrix of its
+    (n-2)-uniform clutter, and the same matrix with its rows and its columns
+    shuffled independently.  Half the graphs are a reference graph plus
+    isolated vertices, the ones the structural check accepts."""
+    n = draw(st.integers(3, 10))
     if draw(st.booleans()):
         edges = draw(st.sampled_from([G.edges for G in REFERENCE_GRAPHS.values() if G.n <= n]))
     else:
         pairs = list(combinations(range(1, n + 1), 2))
-        edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
-    M = incidence_matrix(clutter_of_graph(make_graph(n, edges)))
+        edges = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=6))
+    G = make_graph(n, edges)
+    M = incidence_matrix(clutter_of_graph(G))
     rows = draw(st.permutations(M.data))
     cols = draw(st.permutations(range(n)))
-    return M, IncidenceMatrix.from_rows([[row[c] for c in cols] for row in rows], n)
+    return G, M, IncidenceMatrix.from_rows([[row[c] for c in cols] for row in rows], n)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -225,5 +227,13 @@ def test_least_mask_is_invariant_under_relabeling(instance):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(permuted_uniform_matrices())
 def test_structural_check_is_invariant_under_row_and_column_permutations(instance):
-    M, shuffled = instance
+    _, M, shuffled = instance
     assert structural_mfmc_check(shuffled) == structural_mfmc_check(M)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(permuted_uniform_matrices())
+def test_structural_check_matches_classification(instance):
+    # the theorem, through two routes that share no canonizer
+    G, _, shuffled = instance
+    assert structural_mfmc_check(shuffled) == (classify_graph(G).label != "OTHER")
