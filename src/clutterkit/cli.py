@@ -224,7 +224,7 @@ def lp(ctx, source, alpha_text, scan_box, structural):
 
 @main.command(name="verify-theorem")
 @click.option("-n", "n", type=int, required=True,
-              help="Vertex count (3..6).")
+              help="Vertex count (3..7).")
 @click.option("-k", "k_values", type=int, multiple=True,
               help="Degrees to compare (default: 2 and 3).")
 @click.option("--box", type=int, default=2, show_default=True,

@@ -9,7 +9,7 @@ so equal ideals have identical representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
@@ -256,7 +256,8 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     From the unit monomial, each prime power P_A^k is met by the deficit
     rule: the minimal multiples in P_A^k of a generator g are the g*m for
     every monomial m on A's variables of degree k - sum_A(g), or g itself
-    when sum_A(g) >= k.
+    when sum_A(g) >= k.  Refused when the first prime's expansion or the
+    pairs the later primes would test pass SIMIS_CANDIDATE_CAP.
     """
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
@@ -264,32 +265,89 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return _symbolic_power(I, k, minimal_primes(I))
 
 
+def _packed_monomials(units: list[int], d: int) -> list[int]:
+    """Every monomial of degree d in the variables with the given packed units.
+
+    Each is built by one multiply-add per variable, never one per degree.
+    """
+    partial = [(0, 0)]  # (packed monomial, degree) in all variables but the last
+    for u in units[:-1]:
+        partial = [(m + e * u, t + e) for m, t in partial for e in range(d - t + 1)]
+    return [m + (d - t) * units[-1] for m, t in partial]
+
+
 def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
-    """:func:`symbolic_power` with the minimal primes of I already known."""
-    gens: tuple[Monomial, ...] = ((0,) * I.n,)
+    """:func:`symbolic_power` with the minimal primes of I already known.
+
+    Each monomial on the chain is one int with a field of w = k.bit_length() + 1
+    bits per variable, x1 in the top field, so int order is lex order.  No
+    exponent on the chain exceeds k (a candidate's exponents on A sum to k,
+    and the rest are a generator's), so the top bit of every field is free;
+    with G holding those guard bits, b | c iff ((c | G) - b) & G == G.
+
+    Only the new candidates are minimalized.  A generator already in P_A^k
+    is kept untested: no candidate g*m divides it, since g would too, and
+    both lie in one antichain.  A divisor h of a candidate c lies in P_A^k,
+    so its exponents on A sum to at least k = sum_A(c) while h <= c: h and c
+    agree on A.  And h <= c gives h <= c as ints.  So the candidates are
+    taken in int order, each tested only against the kept and accepted
+    generators with its fields on A (an equal int is a duplicate).
+    """
+    n = I.n
+    w = k.bit_length() + 1
+    shifts = [(n - 1 - i) * w for i in range(n)]
+    field = (1 << w) - 1
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    gens = [0]  # packed monomials, starting from the unit monomial
     work = 0
     for p, A in enumerate(primes):
-        idx = sorted(v - 1 for v in A)
-        if p:  # the cap predicts the pairs an intersection with P_A^k would test
-            work += len(gens) * comb(len(idx) + k - 1, k)
+        a_shifts = [shifts[v - 1] for v in A]
+        n_steps = comb(len(a_shifts) + k - 1, k)
+        if not p:  # the unit monomial becomes the n_steps monomials of degree k on A
+            if n_steps * k > SIMIS_CANDIDATE_CAP:
+                raise ResourceLimitExceeded(
+                    f"expanding the first of {len(primes)} minimal primes to its {k}-th power "
+                    f"gives {n_steps} monomials of degree {k}, {n_steps * k} in total degree, "
+                    f"above the cap of {SIMIS_CANDIDATE_CAP}"
+                )
+        else:  # the cap predicts the pairs an intersection with P_A^k would test
+            work += len(gens) * n_steps
             if work > SIMIS_CANDIDATE_CAP:
                 raise ResourceLimitExceeded(
                     f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
                     f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
                 )
-        cands: list[Monomial] = []
+        units = [1 << s for s in a_shifts]
+        a_mask = sum(field << s for s in a_shifts)
+        multipliers: dict[int, list[int] | None] = {}  # by fields on A; None if in P_A^k
+        by_a_part: dict[int, list[int]] = {}  # generators in P_A^k by their fields on A
+        kept: list[int] = []
+        cands: list[int] = []
         for g in gens:
-            deficit = k - sum(map(g.__getitem__, idx))
-            if deficit <= 0:
-                cands.append(g)
-                continue
-            for combo in combinations_with_replacement(idx, deficit):
-                m = list(g)
-                for i in combo:
-                    m[i] += 1
-                cands.append(tuple(m))
-        gens = minimal_generators(cands)
-    return MonomialIdeal(I.n, gens)
+            a_part = g & a_mask
+            if a_part not in multipliers:
+                deficit = k - sum(a_part >> s & field for s in a_shifts)
+                multipliers[a_part] = _packed_monomials(units, deficit) if deficit > 0 else None
+            ms = multipliers[a_part]
+            if ms is None:
+                kept.append(g)
+                by_a_part.setdefault(a_part, []).append(g)
+            else:
+                cands += map(g.__add__, ms)
+        cands.sort()
+        for c in cands:
+            divisors = by_a_part.setdefault(c & a_mask, [])
+            c_guarded = c | guard
+            for b in divisors:
+                if (c_guarded - b) & guard == guard:
+                    break
+            else:
+                divisors.append(c)
+                kept.append(c)
+        gens = kept
+    return MonomialIdeal(
+        n, tuple(tuple(g >> s & field for s in shifts) for g in sorted(gens))
+    )
 
 
 @dataclass(frozen=True)
@@ -317,10 +375,11 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
 
     A squarefree I has I^k inside I^(k), so only the generators of the
     symbolic power need testing: each is looked for in I^k by a
-    factorization search (:class:`_PowerSearch`), in lex order.  Zero and
-    unit ideals trivially report equal.  Raises if a generator of I misses
-    a minimal prime (that would falsify the implementation, never the
-    mathematics: it is what puts I^k inside I^(k)).
+    factorization search (:class:`_PowerSearch`), in lex order.  A huge k
+    is refused by the symbolic power's first prime, before anything of size
+    k is built.  Zero and unit ideals trivially report equal.  Raises if a
+    generator of I misses a minimal prime (that would falsify the
+    implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """
     if k < 1:
         raise ValueError(f"is_simis requires k >= 1, got {k}")
@@ -328,18 +387,6 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
-    # The bound is that of building I^k by power(), which this decider does
-    # not do: k-1 products, the one of I^j (at most C(g+j-1, j) generators)
-    # with the g generators of I testing at most g * C(g+j-1, j) candidates,
-    # under g * C(g+k-1, k-1) in all.  It keeps a huge k away from
-    # symbolic_power, whose first prime would expand it.
-    n_gens = len(I.gens)
-    work = n_gens * comb(n_gens + k - 1, k - 1)
-    if work > SIMIS_CANDIDATE_CAP:
-        raise ResourceLimitExceeded(
-            f"building I^{k} from {n_gens} generators tests up to {work} candidate "
-            f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
-        )
     primes = minimal_primes(I)
     gen_masks = [_support_mask(g) for g in I.gens]
     for A in primes:

@@ -26,7 +26,7 @@ from .lp import duality_gap_search, structural_mfmc_check
 from .monomials import is_simis
 
 VERIFY_MIN_N = 3
-VERIFY_MAX_N = 6
+VERIFY_MAX_N = 7
 
 
 @dataclass(frozen=True)

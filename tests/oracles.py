@@ -106,8 +106,9 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 
     Materializes each prime power P_A^k (all degree-k monomials on A) and
     meets it with the running result through the generic
-    :func:`clutterkit.intersect`.  Same refusal, with the same predicted
-    count and message, as :func:`clutterkit.symbolic_power`.
+    :func:`clutterkit.intersect`.  Same refusal at a later prime, with the
+    same predicted count and message, as :func:`clutterkit.symbolic_power`;
+    it does not make that function's refusal at the first prime.
     """
     primes = minimal_primes(I)
 
@@ -141,8 +142,9 @@ def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     search: I^k comes from :func:`clutterkit.power`, every generator of it
     is checked against the k-th powers of the minimal primes, and the
     witness is the lex-first generator of I^(k) that no generator of I^k
-    divides.  Same up-front refusal, with the same message, as
-    :func:`clutterkit.is_simis`.
+    divides.  It refuses up front when building I^k would test more than
+    SIMIS_CANDIDATE_CAP candidates; :func:`clutterkit.is_simis`, which does
+    not build I^k, answers some of those requests.
     """
     if k < 1:
         raise ValueError(f"is_simis requires k >= 1, got {k}")

@@ -220,3 +220,13 @@ def test_criterion_8_symbolic_membership_oracle(rng):
                 for m in monomials_up_to(I.n, 3 * k):
                     expected = all(prime_power_contains(A, k, m) for A in primes)
                     assert contains_monomial(S, m) == expected, (I, k, m)
+
+
+def test_criterion_9_exhaustive_equivalence_at_seven_vertices():
+    with criterion(9, 30.0, "per-class agreement of all characterizations, n = 7"):
+        report = verify_theorem(7, k_list=(2, 3), box=2)
+        assert report.consistent
+        assert len(report.rows) == 1043
+        assert (report.satisfying, report.failing) == (6, 1037)
+        for row in report.rows:
+            assert row.simis[2] == row.simis[3], row

@@ -66,10 +66,17 @@ class TestSimis:
         assert invoke(["simis", "/nonexistent/input.json"]).exit_code == 2
 
     def test_degree_over_cap_exits_2(self):
+        # the first minimal prime {1, 3} would give 401 monomials of degree 400
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
-        result = invoke(["simis", "-", "-k", "40"], input=path5)
+        result = invoke(["simis", "-", "-k", "400"], input=path5)
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
+
+    def test_path_complement_answers_degree_forty(self):
+        path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
+        result = invoke(["simis", "-", "-k", "40"], input=path5)
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": 40, "equal": False, "witness": [1, 1, 39, 39, 39]}
 
     def test_symbolic_side_over_cap_exits_2(self):
         result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])
@@ -295,12 +302,14 @@ class TestOutputStability:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "key,value"
 
-    # sha256 of the JSON stdout of verify-theorem -n 3, 4, 5; the benchmark
-    # pins the same values (with n = 6) in perfbench/workloads.py.
+    # sha256 of the JSON stdout of verify-theorem -n 3, 4, 5, 7; the benchmark
+    # pins the same values for n = 3..6 in perfbench/workloads.py, and CI the
+    # n = 6 and n = 7 values for the installed console script.
     REPORT_SHA256 = {
         3: "54074f013779851193cd3731000aedb488fe8a8763397f3d56bbf7529272b54c",
         4: "c0637a75e753a9459e22e94d2ec43eb5a5d7609650a72c41df846096923ab3e8",
         5: "e3b7a3d31a6d370ee3af35d352efe30b2c244ca7239e96822a2bca0064bee619",
+        7: "96ab9636bbddd2a4f72637daba0f272f0e1fa92dd64cc847dae5b313f871cf52",
     }
 
     def test_verify_theorem_report_bytes(self):

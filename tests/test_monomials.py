@@ -286,14 +286,18 @@ class TestSymbolicPower:
                 assert got.gens == symbolic_generators_by_scan(primes, k, I.n)
 
     def test_matches_intersection_chain_on_small_clutters(self):
-        # the deficit rule against the generic intersect chain, on every
-        # clutter with n <= 4
+        # the packed deficit-rule chain against the generic intersect chain,
+        # on every clutter with n <= 4, at degrees on both sides of each
+        # change of the field width w = k.bit_length() + 1 (k = 2, 4, 8)
         count = 0
         for n in range(1, 5):
             for H in all_clutters_with_edges(n):
                 I = edge_ideal(H)
-                for k in (2, 3, 4):
-                    assert symbolic_power(I, k) == reference_symbolic_power(I, k), (H, k)
+                for k in (1, 2, 3, 4, 7, 8):
+                    got = symbolic_power(I, k)
+                    assert got == reference_symbolic_power(I, k), (H, k)
+                    # the premise of the field width: no exponent above k
+                    assert max(max(g) for g in got.gens) <= k, (H, k)
                 count += 1
         assert count == 189
 
@@ -356,14 +360,23 @@ class TestIsSimis:
             is_simis(minimalize([(2, 0)], 2), 2)
 
     def test_candidate_cap(self):
-        # complementary ideal of the 5-vertex path: 4 generators, and
-        # 4 * C(43, 39) = 493,640 predicted candidates at k = 40
-        path = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-        with pytest.raises(ResourceLimitExceeded, match="493640 .* cap of 100000"):
-            is_simis(complementary_edge_ideal(path), 40)
-        # a principal ideal has one candidate per product, so k itself is capped
-        with pytest.raises(ResourceLimitExceeded):
-            is_simis(minimalize([(1, 1)], 2), 10**9)
+        # complementary ideal of the 5-vertex path: I^k is never built, so
+        # its size does not bound k
+        I = complementary_edge_ideal(make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+        assert is_simis(I, 27) == monomials.SimisReport(27, False, (1, 1, 26, 26, 26))
+        assert is_simis(I, 40) == monomials.SimisReport(40, False, (1, 1, 39, 39, 39))
+        # the first prime {1, 3} gives C(401, 400) = 401 monomials of degree
+        # 400, 160,400 in total degree
+        with pytest.raises(ResourceLimitExceeded, match="401 monomials of degree 400, 160400 .* cap of 100000"):
+            is_simis(I, 400)
+        # a principal ideal's first prime gives one monomial of degree k, so
+        # k itself is capped, before anything of size k is built
+        principal = minimalize([(1, 1)], 2)
+        with pytest.raises(ResourceLimitExceeded, match="1000000000 in total degree"):
+            is_simis(principal, 10**9)
+        with pytest.raises(ResourceLimitExceeded, match="100001 in total degree"):
+            symbolic_power(principal, 100_001)
+        assert symbolic_power(principal, 100_000).gens == ((100_000, 100_000),)
 
     def test_symbolic_chain_cap(self):
         # 60 squarefree cubics on 14 variables: only 3,660 ordinary-side

@@ -1,7 +1,9 @@
 """Property tests over random inputs drawn by hypothesis."""
 
 from itertools import combinations
+from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from clutterkit import (
     REFERENCE_GRAPHS,
     TRIVIAL,
     IncidenceMatrix,
+    ResourceLimitExceeded,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
@@ -29,6 +32,7 @@ from clutterkit import (
     symbolic_power,
 )
 from clutterkit.graphs import _least_mask, _pair_slots
+from clutterkit.monomials import SIMIS_CANDIDATE_CAP
 from oracles import (
     reference_gap_scan,
     reference_has_packing,
@@ -58,6 +62,15 @@ def squarefree_ideals(draw):
     gen = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
     gens = draw(st.lists(gen, min_size=2, max_size=8))
     return minimalize(gens, n), draw(st.integers(2, 4))
+
+
+@st.composite
+def wide_squarefree_ideals(draw):
+    """A nonzero proper squarefree ideal on 5 to 9 variables (every one on
+    at most 4 is pinned exhaustively), from 2 to 7 nonunit 0/1 generators."""
+    n = draw(st.integers(5, 9))
+    gen = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
+    return minimalize(draw(st.lists(gen, min_size=2, max_size=7)), n)
 
 
 @st.composite
@@ -140,6 +153,31 @@ def test_gap_scan_matches_reference_and_phi_bounds_psi(instance):
 def test_symbolic_power_matches_intersection_chain(instance):
     I, k = instance
     assert symbolic_power(I, k) == reference_symbolic_power(I, k)
+
+
+def _outcome(power_of, I, k):
+    try:
+        return power_of(I, k)
+    except ResourceLimitExceeded as exc:
+        return str(exc)
+
+
+# degrees on either side of each change of the packed field width
+# w = k.bit_length() + 1 (k = 2, 4, 8)
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 7, 8))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(wide_squarefree_ideals())
+def test_packed_chain_matches_intersection_chain_up_to_nine_variables(k, I):
+    got = _outcome(symbolic_power, I, k)
+    if isinstance(got, str) and got.startswith("expanding the first"):
+        # the one refusal the intersect chain does not make
+        a = len(minimal_primes(I)[0])
+        assert comb(a + k - 1, k) * k > SIMIS_CANDIDATE_CAP
+        return
+    assert got == _outcome(reference_symbolic_power, I, k)
+    if not isinstance(got, str):
+        # the premise of the field width: no exponent above k
+        assert max(max(g) for g in got.gens) <= k
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -35,7 +35,7 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(2)
         with pytest.raises(ValueError):
-            verify_theorem(7)
+            verify_theorem(8)
 
     def test_empty_k_list_rejected(self):
         with pytest.raises(ValueError):
