@@ -7,11 +7,12 @@ For an m x n incidence matrix M and a nonnegative integral objective alpha:
 
 For 0/1 covering constraints restricting x to {0,1}^n is lossless (raising
 a coordinate above 1 never helps), which the tests cross-check against a
-wider box.  The module also provides the all-ones column extension, the
-duality-gap scan (one lexicographic pass over a bounded alpha box that
-stops at the first gap), and the structural characterization of the
-matrices with no gap anywhere (row sums n-2) by canonical forms without the
-all-ones columns.
+wider box.  psi is the packing search that simis membership also runs: g
+lies in I^k iff psi_g >= k for I's incidence matrix.  The module also
+provides the all-ones column extension, the duality-gap scan (one
+lexicographic pass over a bounded alpha box that stops at the first gap),
+and the structural characterization of the matrices with no gap anywhere
+(row sums n-2) by canonical forms without the all-ones columns.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from itertools import compress, product
 
 from .clutters import IncidenceMatrix, canonical_form
 from .errors import DimensionMismatch, ResourceLimitExceeded
-from .monomials import minimal_cover_masks
+from .monomials import _Packing, minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
-PSI_ROW_VISIT_CAP = 2_000_000
 SCAN_STATE_CAP = 5_000_000
 
 
@@ -78,63 +78,13 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
 
 
 def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
-    """Exact packing optimum and an optimal multiplicity vector y (length m).
+    """Exact packing optimum and its lexicographically greatest optimal y (length m).
 
-    Bounded enumeration, depth first over the rows in order: y_i runs down
-    from its cap, the smallest residual objective entry on row i's support,
-    to 0 (the last row takes only its cap: any lower value is a smaller
-    total), and a branch is cut when even the caps of the rows left cannot
-    beat the incumbent.  Each node reads the caps of every row left, so the
-    search counts row visits (one for a complete y) and refuses once they
-    pass PSI_ROW_VISIT_CAP.
+    One branch-and-bound run of :class:`~clutterkit.monomials._Packing`,
+    refused past ``monomials.PACKING_VISIT_CAP`` row visits.
     """
     alpha = _checked_alpha(M, alpha)
-    m = M.rows
-    if m == 0:
-        return 0, ()
-    supports = [tuple(j for j, x in enumerate(row) if x) for row in M.data]
-    residual = list(alpha)
-    best_value = 0
-    best_y: tuple[int, ...] = (0,) * m
-    y = [0] * m
-    visits = 0
-    i = total = 0
-    while True:
-        # node: rows < i hold y[:i] (total), every y[r] for r >= i is 0
-        visits += m - i or 1
-        if visits > PSI_ROW_VISIT_CAP:
-            raise ResourceLimitExceeded(
-                f"packing search made {visits} row visits (a count, not a "
-                f"prediction), above the cap of {PSI_ROW_VISIT_CAP}"
-            )
-        if i == m:
-            if total > best_value:
-                best_value = total
-                best_y = tuple(y)
-        else:
-            caps = [min(residual[j] for j in supports[r]) for r in range(i, m)]
-            if total + sum(caps) > best_value:
-                y[i] = caps[0]
-                for j in supports[i]:
-                    residual[j] -= caps[0]
-                total += caps[0]
-                i += 1
-                continue
-        # backtrack to the deepest row whose value can still go down by one
-        while True:
-            i -= 1
-            if i < 0:
-                return best_value, best_y
-            if y[i]:
-                # a lower last entry only lowers the total: zero it and go on
-                step = 1 if i < m - 1 else y[i]
-                y[i] -= step
-                for j in supports[i]:
-                    residual[j] += step
-                total -= step
-                if i < m - 1:
-                    i += 1
-                    break
+    return _Packing(tuple(j for j, x in enumerate(row) if x) for row in M.data).search(alpha)
 
 
 @dataclass(frozen=True)

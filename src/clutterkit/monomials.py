@@ -22,7 +22,7 @@ PrimeSupport = frozenset[int]
 
 MINIMAL_COVER_VERTEX_CAP = 20
 SIMIS_CANDIDATE_CAP = 100_000
-SIMIS_SEARCH_CAP = 500_000
+PACKING_VISIT_CAP = 2_000_000
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -374,11 +374,12 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     """Decide whether the k-th symbolic and ordinary powers of I coincide.
 
     A squarefree I has I^k inside I^(k), so only the generators of the
-    symbolic power need testing: each is looked for in I^k by a
-    factorization search (:class:`_PowerSearch`), in lex order.  A huge k
-    is refused by the symbolic power's first prime, before anything of size
-    k is built.  Zero and unit ideals trivially report equal.  Raises if a
-    generator of I misses a minimal prime (that would falsify the
+    symbolic power need testing, in lex order.  g lies in I^k iff k
+    generators of I pack under its exponents (psi_g >= k for I's incidence
+    matrix), asked of one :class:`_Packing` whose cap covers the call.  A
+    huge k is refused by the symbolic power's first prime, before anything
+    of size k is built.  Zero and unit ideals trivially report equal.  Raises
+    if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """
     if k < 1:
@@ -397,64 +398,80 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
                     f"internal invariant violated: generator {g} misses the minimal "
                     f"prime {sorted(A)}"
                 )
-    search = _PowerSearch(I, k)
+    packing = _Packing(tuple(j for j, e in enumerate(g) if e) for g in I.gens)
     for g in _symbolic_power(I, k, primes).gens:  # lex order: the first miss is the witness
-        if not search.contains(g):
+        if packing.search(g, k)[0] < k:
             return SimisReport(k, False, g)
     return SimisReport(k, True)
 
 
-class _PowerSearch:
-    """Membership of monomials in I^k for a squarefree I, by factorization.
+class _Packing:
+    """Integer packing over the rows of a 0/1 matrix, given by their supports.
 
-    m lies in I^j iff some generator e of I divides m and m/e lies in
-    I^(j-1) (the ordinary power; I^0 is the unit ideal).  A product of j
-    squarefree monomials has no exponent above j, so a state (j, m) keeps
-    m with its exponents clipped to j, which merges equivalent states.  The
-    search is depth first on an explicit stack, so no recursion depth grows
-    with k; states that lie outside their power are remembered for the
-    call.  Every state entered or resumed is one visit, counted over the
-    call against SIMIS_SEARCH_CAP.
+    :meth:`search` maximizes the total of y >= 0 (one entry per row) such
+    that the rows on each column j take at most alpha[j] in all.  Depth first
+    over the rows in order, y_i runs down from its cap (the least residual
+    entry on row i's support) to 0, and a branch is cut when the caps of the
+    rows left cannot beat the incumbent.  A row that at most one later row
+    meets takes only its cap: raising y_i by one and lowering that row by
+    one (if it is not 0) keeps y feasible and its total, so the lex-greatest
+    optimum starts with the cap.  Each node reads the cap of every row left;
+    these row visits (one for a complete y) are counted over the object's
+    lifetime against PACKING_VISIT_CAP.
     """
 
-    def __init__(self, I: MonomialIdeal, k: int) -> None:
-        self.k = k
-        self.gens = [(_support_mask(e), e) for e in I.gens]
-        self.bits = [1 << i for i in range(I.n)]
-        self.failed: set[tuple[int, Monomial]] = set()
+    def __init__(self, supports) -> None:
+        self.supports = list(supports)
+        masks = [sum(1 << j for j in s) for s in self.supports]
+        self.cap_only = [
+            sum(bool(mask & later) for later in masks[i + 1:]) <= 1 for i, mask in enumerate(masks)
+        ]
         self.visits = 0
 
-    def _visit(self) -> None:
-        self.visits += 1
-        if self.visits > SIMIS_SEARCH_CAP:
-            raise ResourceLimitExceeded(
-                f"searching I^{self.k} for the symbolic generators made {self.visits} "
-                f"state visits (a count, not a prediction), above the cap of {SIMIS_SEARCH_CAP}"
-            )
-
-    def contains(self, g: Monomial) -> bool:
-        """True iff g, with no exponent above k, lies in I^k."""
-        gens, bits, failed = self.gens, self.bits, self.failed
-        # a frame is [state exponents, j, support mask, next generator index]
-        stack = [[g, self.k, sum(b for b, x in zip(bits, g) if x), 0]]
-        while stack:
-            self._visit()
-            frame = stack[-1]
-            m, j, support, start = frame
-            for t in range(start, len(gens)):
-                mask, e = gens[t]
-                if mask & ~support:
-                    continue
-                if j == 1:
-                    return True
-                j1 = j - 1
-                child = tuple(j1 if x == j else x - y for x, y in zip(m, e))
-                if (j1, child) in failed:
-                    continue
-                frame[3] = t + 1
-                stack.append([child, j1, sum(b for b, x in zip(bits, child) if x), 0])
-                break
+    def search(self, alpha, enough: int | None = None):
+        """(optimum, lex-greatest optimal y); with `enough`, the first y that
+        reaches enough (the incumbent starts at enough - 1), or (enough - 1, None).
+        """
+        supports, cap_only = self.supports, self.cap_only
+        m = len(supports)
+        residual = list(alpha)
+        best_value, best_y = (0, (0,) * m) if enough is None else (enough - 1, None)
+        y = [0] * m
+        i = total = 0
+        while True:
+            # node: rows < i hold y[:i] (total), every y[r] for r >= i is 0
+            if enough is not None and total >= enough:
+                return total, tuple(y)
+            self.visits += m - i or 1
+            if self.visits > PACKING_VISIT_CAP:
+                raise ResourceLimitExceeded(
+                    f"packing search made {self.visits} row visits (a count, not a "
+                    f"prediction), above the cap of {PACKING_VISIT_CAP}"
+                )
+            if i == m:
+                if total > best_value:
+                    best_value, best_y = total, tuple(y)
             else:
-                failed.add((j, m))
-                stack.pop()
-        return False
+                caps = [min(map(residual.__getitem__, supports[r])) for r in range(i, m)]
+                if total + sum(caps) > best_value:
+                    y[i] = caps[0]
+                    for j in supports[i]:
+                        residual[j] -= caps[0]
+                    total += caps[0]
+                    i += 1
+                    continue
+            # backtrack to the deepest row whose value can still go down by one
+            while True:
+                i -= 1
+                if i < 0:
+                    return best_value, best_y
+                if y[i]:
+                    # a row that takes only its cap is zeroed, and the search goes on up
+                    step = y[i] if cap_only[i] else 1
+                    y[i] -= step
+                    for j in supports[i]:
+                        residual[j] += step
+                    total -= step
+                    if not cap_only[i]:
+                        i += 1
+                        break

@@ -12,7 +12,8 @@ minor from H, kept as the reference for the depth-first scan;
 ``reference_enumerate_graphs`` is the earlier orbit closure over all edge
 masks, kept as the reference for the edge-count-level enumeration;
 ``reference_is_simis`` is the earlier simis decider that builds I^k,
-kept as the reference for the factorization search;
+kept as the reference for the membership test by packing search (which
+``brute_psi`` pins from the LP side);
 ``reference_structural_mfmc_check`` is the earlier structural check that
 builds the canonical form of the whole matrix before it compares row counts;
 ``reference_classify_graph`` is the earlier classification by canonical
@@ -138,13 +139,13 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     """Compare the k-th symbolic and ordinary powers by building both.
 
-    The earlier decider, kept as the reference for the factorization
-    search: I^k comes from :func:`clutterkit.power`, every generator of it
-    is checked against the k-th powers of the minimal primes, and the
-    witness is the lex-first generator of I^(k) that no generator of I^k
-    divides.  It refuses up front when building I^k would test more than
-    SIMIS_CANDIDATE_CAP candidates; :func:`clutterkit.is_simis`, which does
-    not build I^k, answers some of those requests.
+    The earlier decider, kept as the reference for the membership test by
+    packing search: I^k comes from :func:`clutterkit.power`, every
+    generator of it is checked against the k-th powers of the minimal
+    primes, and the witness is the lex-first generator of I^(k) that no
+    generator of I^k divides.  It refuses up front when building I^k would
+    test more than SIMIS_CANDIDATE_CAP candidates; :func:`clutterkit.is_simis`,
+    which does not build I^k, answers some of those requests.
     """
     if k < 1:
         raise ValueError(f"is_simis requires k >= 1, got {k}")

@@ -78,6 +78,12 @@ class TestSimis:
         assert result.exit_code == 0
         assert json.loads(result.output) == {"k": 40, "equal": False, "witness": [1, 1, 39, 39, 39]}
 
+    def test_two_generators_sharing_a_variable_answer_degree_thousand(self):
+        ideal = json.dumps({"n": 3, "gens": [[1, 1, 0], [1, 0, 1]]})
+        result = invoke(["simis", "-", "-k", "1000"], input=ideal)
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": 1000, "equal": True, "witness": None}
+
     def test_symbolic_side_over_cap_exits_2(self):
         result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])
         assert result.exit_code == 2
@@ -209,6 +215,12 @@ class TestLp:
         result = invoke(["lp", "-", "--alpha", "3000000"], input="1\n")
         assert result.exit_code == 0
         assert json.loads(result.output)["psi"] == 3000000
+
+    def test_psi_large_objective_entry_on_two_equal_rows_answers(self):
+        result = invoke(["lp", "-", "--alpha", "3000000"], input="1\n1\n")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert (payload["psi"], payload["y_opt"]) == (3000000, [3000000, 0])
 
     @pytest.mark.parametrize("name, cols", [
         ("tall_1200_rows_8_columns.txt", 8), ("tall_600_rows_12_columns.txt", 12),

@@ -55,6 +55,19 @@ def identity3():
     return IncidenceMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
 
+# (rows, alpha) with repeated rows; in the last two the first row meets two
+# later rows and must step down from its cap to 1
+REPEATED_ROWS = (
+    ([[1], [1]], (5,)),
+    ([[1], [1], [1]], (4,)),
+    ([[1, 0], [1, 0], [0, 1]], (3, 2)),
+    ([[1, 1], [1, 1], [1, 0], [0, 1]], (2, 3)),
+    ([[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 1, 1]], (2, 3, 1)),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 1, 1]], (2, 2, 2)),
+    ([[1, 1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], (3, 3, 2)),
+)
+
+
 def base(name):
     return dict(BASE_MATRICES)[name]
 
@@ -132,12 +145,17 @@ class TestPsi:
         assert psi(triangle_matrix(), (1, 1, 1, 1))[0] == 1
 
     def test_feasibility_and_brute_agreement(self, rng):
+        cases = []
         for _ in range(30):
-            H = random_clutter(rng, n_max=4)
-            M = incidence_matrix(H)
-            alpha = tuple(rng.randint(0, 2) for _ in range(M.cols))
+            M = incidence_matrix(random_clutter(rng, n_max=4))
+            cases.append((M, tuple(rng.randint(0, 2) for _ in range(M.cols))))
+        # matrices that are no clutter: with rows repeated, a row may meet
+        # just one later row (it then takes only its cap) or several
+        for rows, alpha in REPEATED_ROWS:
+            cases.append((IncidenceMatrix.from_rows(rows, len(alpha)), alpha))
+        for M, alpha in cases:
             value, y = psi(M, alpha)
-            assert (value, y) == brute_psi(M, alpha)
+            assert (value, y) == brute_psi(M, alpha), (M, alpha)
             for j in range(M.cols):
                 assert sum(y[i] * M.data[i][j] for i in range(M.rows)) <= alpha[j]
 
@@ -150,13 +168,13 @@ class TestPsi:
             assert report.gap >= 0
 
     def test_node_cap(self):
-        # every pair of 7 columns answers (87,011 row visits); every pair of
+        # every pair of 7 columns answers (86,998 row visits); every pair of
         # 9, from the fixture, passes the cap of 2,000,000 row visits and is
         # refused
         pairs7 = [[int(j in p) for j in range(7)] for p in combinations(range(7), 2)]
         assert psi(IncidenceMatrix.from_rows(pairs7, 7), (2,) * 7)[0] == 7
         pairs9 = dense_fixture("all_pairs_of_9_columns.txt")
-        with pytest.raises(ResourceLimitExceeded, match="2000002 row visits .* cap of 2000000"):
+        with pytest.raises(ResourceLimitExceeded, match="2000004 row visits .* cap of 2000000"):
             psi(pairs9, (2,) * 9)
 
     def test_large_objective_entry_on_one_row(self):
@@ -164,6 +182,12 @@ class TestPsi:
         # visits however large its objective entry
         M = IncidenceMatrix.from_rows([[1]], 1)
         assert psi(M, (3_000_000,)) == (3_000_000, (3_000_000,))
+
+    def test_large_objective_entry_on_two_equal_rows(self):
+        # the first row meets only the last, so it takes only its cap too:
+        # four row visits, where stepping it down one by one would pass the cap
+        M = IncidenceMatrix.from_rows([[1], [1]], 1)
+        assert psi(M, (3_000_000,)) == (3_000_000, (3_000_000, 0))
 
     @pytest.mark.parametrize("name", TALL_FIXTURES)
     def test_tall_matrix_refused(self, name):

@@ -392,13 +392,22 @@ class TestIsSimis:
         with pytest.raises(ResourceLimitExceeded):
             is_simis(I, 2)
 
-    def test_search_cap_counts_state_visits(self, monkeypatch):
-        # the C4 complement ideal is equal at k = 2; its search makes more
-        # than 5 visits, and the message gives the count that crossed the cap
+    def test_search_cap_counts_row_visits(self, monkeypatch):
+        # the C4 complement ideal is equal at k = 2, and each of its nine
+        # symbolic generators packs after 7 row visits: the searches of one
+        # call share the cap, so the second passes 10, and the message gives
+        # the count that crossed it
         I = complementary_edge_ideal(make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
-        monkeypatch.setattr(monomials, "SIMIS_SEARCH_CAP", 5)
-        with pytest.raises(ResourceLimitExceeded, match=r"made 6 state visits .* cap of 5$"):
+        monkeypatch.setattr(monomials, "PACKING_VISIT_CAP", 10)
+        with pytest.raises(ResourceLimitExceeded, match=r"made 11 row visits .* cap of 10$"):
             is_simis(I, 2)
+
+    def test_two_generators_sharing_a_variable_at_large_k(self):
+        # (x1x2, x1x3) is equal at every k: each of the 1,001 symbolic
+        # generators x1^k x2^a x3^(k-a) packs at once, as the first row
+        # meets only the last and takes only its cap
+        I = minimalize([(1, 1, 0), (1, 0, 1)], 3)
+        assert is_simis(I, 1000) == monomials.SimisReport(1000, True)
 
     def test_matches_reference_on_every_small_clutter(self):
         for n in range(1, 5):

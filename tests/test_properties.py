@@ -15,6 +15,7 @@ from clutterkit import (
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
+    contains_monomial,
     duality_gap_search,
     extend,
     has_packing,
@@ -34,6 +35,7 @@ from clutterkit import (
 from clutterkit.graphs import _least_mask, _pair_slots
 from clutterkit.monomials import SIMIS_CANDIDATE_CAP
 from oracles import (
+    random_squarefree_ideal,
     reference_gap_scan,
     reference_has_packing,
     reference_is_simis,
@@ -199,6 +201,26 @@ def test_simis_witness_lies_in_symbolic_but_not_ordinary_power(instance):
 def test_simis_matches_the_ordinary_power_reference(instance):
     I, k = instance
     assert is_simis(I, k) == reference_is_simis(I, k)
+
+
+@st.composite
+def monomials_against_powers(draw):
+    """A random squarefree ideal, a degree k in 1..3 and a monomial with
+    exponents at most k."""
+    I = random_squarefree_ideal(draw(st.randoms(use_true_random=False)))
+    k = draw(st.integers(1, 3))
+    g = draw(st.lists(st.integers(0, k), min_size=I.n, max_size=I.n))
+    return I, k, tuple(g)
+
+
+# is_simis asks psi's packing search whether psi_g >= k, so that search is
+# pinned here against the ordinary power built by repeated multiplication
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomials_against_powers())
+def test_ordinary_power_membership_is_psi_at_least_k(instance):
+    I, k, g = instance
+    M = IncidenceMatrix.from_rows(I.gens, I.n)
+    assert contains_monomial(power(I, k), g) == (psi(M, g)[0] >= k)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
