@@ -11,13 +11,11 @@ vertices by their original labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import MonomialIdeal, minimal_cover_masks
 
 PACKING_VERTEX_CAP = 12
-CANONICAL_FORM_COLUMN_CAP = 8
 
 
 class _TrivialMinor:
@@ -350,18 +348,3 @@ def incidence_matrix(H: Clutter) -> IncidenceMatrix:
     )
     return IncidenceMatrix(len(H.edges), H.n, data)
 
-
-def canonical_form(M: IncidenceMatrix) -> tuple[tuple[int, ...], ...]:
-    """Minimum over column permutations of the sorted row tuple.
-
-    Two matrices are equal up to independent row and column permutations
-    exactly when their canonical forms are equal.  A zero-row matrix gives ().
-    """
-    if M.cols > CANONICAL_FORM_COLUMN_CAP:
-        raise ResourceLimitExceeded(
-            f"canonical form over {M.cols}! column permutations exceeds the cap "
-            f"of {CANONICAL_FORM_COLUMN_CAP} columns"
-        )
-    if not M.cols:
-        return M.data  # its rows are all (); transposing twice would drop them
-    return min(tuple(sorted(zip(*perm))) for perm in permutations(zip(*M.data)))

@@ -12,7 +12,7 @@ lies in I^k iff psi_g >= k for I's incidence matrix.  The module also
 provides the all-ones column extension, the duality-gap scan (one
 lexicographic pass over a bounded alpha box that stops at the first gap),
 and the structural characterization of the matrices with no gap anywhere
-(row sums n-2) by canonical forms without the all-ones columns.
+(row sums n-2) by the zero counts of their columns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, product
 
-from .clutters import IncidenceMatrix, canonical_form
+from .clutters import IncidenceMatrix
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import _Packing, minimal_cover_masks
 
@@ -202,17 +202,6 @@ BASE_MATRICES = tuple(
 )
 
 
-def _stripped_form(M: IncidenceMatrix):
-    """Canonical form of M without its all-ones columns (all, if M has no rows)."""
-    keep = [j for j, column in enumerate(zip(*M.data)) if not all(column)]
-    data = tuple(tuple(row[j] for j in keep) for row in M.data)
-    return canonical_form(IncidenceMatrix(M.rows, len(keep), data))
-
-
-# (rows, cols, stripped form) of each base
-_BASE_FORMS = tuple((base.rows, base.cols, _stripped_form(base)) for _, base in BASE_MATRICES)
-
-
 def structural_mfmc_check(M: IncidenceMatrix) -> bool:
     """True iff M is, up to independent row and column permutations, an
     all-ones-column extension of one of the base matrices.
@@ -223,9 +212,19 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
     theorem-exact predicate for "no duality gap at any objective"; the
     bounded alpha scan is the falsification tool.
 
-    Permutations map all-ones columns to all-ones columns, so M matches
-    ``extend_matrix(B, n - B.cols)`` iff n >= B.cols and both match once
-    their all-ones columns are dropped, leaving at most 2 * rows columns.
+    Decided by column degrees.  Every row has exactly two zeros, so M is
+    the clutter matrix of a simple graph G on the columns: a row is the
+    complement of the edge at its two zeros.  A column's zero count is its
+    degree in G, and the all-ones columns are G's isolated vertices.
+    Permuting rows and columns gives an isomorphic G, and appending
+    all-ones columns adds isolated vertices, so M passes iff G is one of
+    the base graphs plus isolated vertices.  Without its isolated vertices, a graph
+    whose degrees are all at most 2 is a disjoint union of paths and
+    cycles, and on at most 4 vertices these are exactly K2, P3, K3, 2K2,
+    P4 and C4.  ``n >= 2`` matters only without rows: the 0 x 2 edgeless
+    K2 base extends to every wider 0-row matrix, while 0-row matrices with
+    fewer columns fail.  A matrix with rows has n >= 3, and more than 4
+    rows give more than 4 touched columns or a degree above 2.
     """
     n = M.cols
     for row in M.data:
@@ -237,9 +236,5 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
             raise ValueError("zero row is not an edge")
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
-    # Only a base with M's row count (at most 4) can match; most matrices
-    # have more rows than any base, and then no canonical form is built.
-    candidates = [form for rows, cols, form in _BASE_FORMS if rows == M.rows and cols <= n]
-    if not candidates:
-        return False
-    return _stripped_form(M) in candidates
+    touched = [M.rows - ones for ones in map(sum, zip(*M.data)) if ones < M.rows]
+    return n >= 2 and len(touched) <= 4 and max(touched, default=0) <= 2

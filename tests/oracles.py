@@ -3,7 +3,9 @@
 Every oracle here recomputes a quantity along a different route than the
 implementation: membership scans instead of generator arithmetic, plain
 box enumeration instead of pruned search, networkx instead of the
-hand-rolled canonical forms.  ``reference_gap_scan`` is the earlier
+hand-rolled canonical forms.  ``canonical_form`` is the earlier matrix
+canonizer (a minimum over all column permutations), now used only by the
+references below.  ``reference_gap_scan`` is the earlier
 full-table duality-gap scan, kept as the reference for the one-pass scan;
 ``reference_symbolic_power`` is the earlier chain of generic ``intersect``
 calls, kept as the reference for the deficit-rule symbolic power;
@@ -15,7 +17,8 @@ masks, kept as the reference for the edge-count-level enumeration;
 kept as the reference for the membership test by packing search (which
 ``brute_psi`` pins from the LP side);
 ``reference_structural_mfmc_check`` is the earlier structural check that
-builds the canonical form of the whole matrix before it compares row counts;
+builds the canonical form of the whole matrix, kept as the reference for
+the column-degree test;
 ``reference_classify_graph`` is the earlier classification by canonical
 forms of incidence matrices, kept as the reference for the least-mask
 lookup.
@@ -51,7 +54,6 @@ from clutterkit.clutters import (
     FailingMinor,
     PackingReport,
     _subsets_lex,
-    canonical_form,
 )
 from clutterkit.graphs import ENUMERATION_VERTEX_CAP, GraphClass, _graph_from_mask, _pair_slots
 from clutterkit.lp import BASE_MATRICES, SCAN_STATE_CAP, _checked_alpha
@@ -178,14 +180,32 @@ def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     raise RuntimeError("internal invariant violated: unequal ideals with no witness")
 
 
-def reference_structural_mfmc_check(M: IncidenceMatrix) -> bool:
-    """The structural no-gap check that builds M's canonical form first.
+CANONICAL_FORM_COLUMN_CAP = 8
 
-    The earlier check, kept as the reference for the one that compares row
-    counts first and then canonical forms without the all-ones columns:
-    same input errors, and the 8-column cap of
-    :func:`clutterkit.clutters.canonical_form` applies to every matrix.
-    Each candidate base is extended to M's width and canonized in full.
+
+def canonical_form(M: IncidenceMatrix) -> tuple[tuple[int, ...], ...]:
+    """Minimum over column permutations of the sorted row tuple.
+
+    Two matrices are equal up to independent row and column permutations
+    exactly when their canonical forms are equal.  A zero-row matrix gives ().
+    """
+    if M.cols > CANONICAL_FORM_COLUMN_CAP:
+        raise ResourceLimitExceeded(
+            f"canonical form over {M.cols}! column permutations exceeds the cap "
+            f"of {CANONICAL_FORM_COLUMN_CAP} columns"
+        )
+    if not M.cols:
+        return M.data  # its rows are all (); transposing twice would drop them
+    return min(tuple(sorted(zip(*perm))) for perm in permutations(zip(*M.data)))
+
+
+def reference_structural_mfmc_check(M: IncidenceMatrix) -> bool:
+    """The structural no-gap check by canonical forms of the whole matrix.
+
+    The earlier check, kept as the reference for the column-degree test:
+    same input errors, and the 8-column cap of :func:`canonical_form`
+    applies to every matrix.  Each base with M's row count is extended to
+    M's width, and both are canonized in full.
     """
     n = M.cols
     for row in M.data:

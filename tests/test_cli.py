@@ -188,6 +188,7 @@ class TestLp:
     @pytest.mark.parametrize("dense", [
         "0011111111\n1100111111\n",  # 2K2 plus 6 isolated vertices
         "001111111\n100111111\n110011111\n",  # P4 plus 5 isolated vertices
+        "00" + "1" * 38 + "\n" + "1100" + "1" * 36 + "\n",  # 2K2 plus 36
     ])
     def test_structural_answers_past_the_column_cap(self, dense):
         result = invoke(["lp", "-", "--structural"], input=dense)

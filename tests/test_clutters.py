@@ -23,13 +23,14 @@ from clutterkit import (
     minor,
 )
 from clutterkit import clutters as clutters_module
-from clutterkit.clutters import IncidenceMatrix, canonical_form
+from clutterkit.clutters import IncidenceMatrix
 from oracles import (
     all_clutters_with_edges,
     brute_cover_number,
     brute_matching_number,
     brute_minimal_covers,
     brute_minor,
+    canonical_form,
     nx_matrix_equivalent,
     random_clutter,
     reference_has_packing,
@@ -159,8 +160,9 @@ class TestMinimalCoverKernel:
 
 
 class TestCanonicalFormKernel:
-    """The graph isomorphism test and the structural no-gap check share one
-    canonical form; networkx pins it on every clutter with n <= 5."""
+    """The matrix canonical form in ``tests/oracles.py``, on which the
+    reference structural check and the reference classification rest;
+    networkx pins it on every clutter with n <= 5."""
 
     def test_every_clutter_up_to_five_vertices(self):
         rng = random.Random(20261018)

@@ -55,6 +55,14 @@ def identity3():
     return IncidenceMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
 
+def graph_matrix(n, edges):
+    # (n-2)-uniform clutter matrix of a graph on columns 0..n-1: one row per
+    # edge, zero at the edge's two ends
+    return IncidenceMatrix.from_rows(
+        [tuple(int(j not in edge) for j in range(n)) for edge in edges], n
+    )
+
+
 # (rows, alpha) with repeated rows; in the last two the first row meets two
 # later rows and must step down from its cap to 1
 REPEATED_ROWS = (
@@ -287,6 +295,11 @@ class TestStructuralCheck:
 
     def test_edgeless_on_two_passes(self):
         assert structural_mfmc_check(IncidenceMatrix.from_rows([], 2))
+        # the 0 x 2 base extends to wider 0-row matrices, never narrower ones
+        for cols, expected in ((0, False), (1, False), (2, True), (3, True)):
+            M = IncidenceMatrix.from_rows([], cols)
+            assert structural_mfmc_check(M) is expected
+            assert reference_structural_mfmc_check(M) is expected
 
     def test_row_sum_hypothesis_enforced(self):
         bad = IncidenceMatrix.from_rows(
@@ -302,18 +315,23 @@ class TestStructuralCheck:
             )
 
     def test_column_cap(self):
-        # P4 plus 5 isolated vertices: 9 columns, over the canonical form's
-        # cap, but only 4 are left once the all-ones columns are dropped
-        M = incidence_matrix(
+        # past the 8-column cap of the reference's canonical form: P4 plus 5
+        # isolated vertices (9 columns), 2K2 plus 36 (40) and 3K2 plus 34 (40)
+        p4 = incidence_matrix(
             make_clutter(9, [tuple(v for v in range(1, 10) if v not in (a, a + 1))
                              for a in range(1, 4)])
         )
-        assert structural_mfmc_check(M) is True
-        with pytest.raises(ResourceLimitExceeded):
-            reference_structural_mfmc_check(M)
+        for M, expected in (
+            (p4, True),
+            (graph_matrix(40, [(0, 1), (2, 3)]), True),
+            (graph_matrix(40, [(0, 1), (2, 3), (4, 5)]), False),
+        ):
+            assert structural_mfmc_check(M) is expected
+            with pytest.raises(ResourceLimitExceeded):
+                reference_structural_mfmc_check(M)
 
     def test_no_base_with_the_row_count_answers_without_the_cap(self):
-        # 9 columns are over the canonical form's cap, but no base has 5 rows
+        # 9 columns are over the reference's cap; 5 rows never pass
         M = incidence_matrix(
             make_clutter(9, [tuple(v for v in range(1, 10) if v not in (a, a + 1))
                              for a in range(1, 6)])
@@ -322,6 +340,29 @@ class TestStructuralCheck:
         assert structural_mfmc_check(M) is False
         with pytest.raises(ResourceLimitExceeded):
             reference_structural_mfmc_check(M)
+
+    def test_boundary_graphs_with_isolated_vertices_fail(self):
+        # just past the degree rule: a degree of 3, a triangle with a
+        # pendant edge, and 5 or 6 touched columns
+        for n, edges in (
+            (6, [(0, 1), (0, 2), (0, 3)]),  # the star K1,3
+            (6, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # the paw
+            (7, [(0, 1), (1, 2), (3, 4)]),  # P3+K2
+            (8, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+        ):
+            M = graph_matrix(n, edges)
+            assert structural_mfmc_check(M) is False
+            assert reference_structural_mfmc_check(M) is False
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_reference_on_every_labeled_matrix(self, n, rng):
+        # every graph on n labeled columns, rows in a shuffled order
+        pairs = list(combinations(range(n), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            edges = [pair for pair, keep in zip(pairs, chosen) if keep]
+            rng.shuffle(edges)
+            M = graph_matrix(n, edges)
+            assert structural_mfmc_check(M) == reference_structural_mfmc_check(M), edges
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_reference_on_every_uniform_class(self, n):

@@ -122,11 +122,11 @@ def relabeled_graphs(draw):
 
 @st.composite
 def permuted_uniform_matrices(draw):
-    """A graph with an edge on 3 to 10 vertices, the incidence matrix of its
+    """A graph with an edge on 3 to 24 vertices, the incidence matrix of its
     (n-2)-uniform clutter, and the same matrix with its rows and its columns
     shuffled independently.  Half the graphs are a reference graph plus
     isolated vertices, the ones the structural check accepts."""
-    n = draw(st.integers(3, 10))
+    n = draw(st.integers(3, 24))
     if draw(st.booleans()):
         edges = draw(st.sampled_from([G.edges for G in REFERENCE_GRAPHS.values() if G.n <= n]))
     else:
