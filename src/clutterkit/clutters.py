@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import monomials
 from .errors import DimensionMismatch, ResourceLimitExceeded
 from .monomials import MonomialIdeal, minimal_cover_masks
 
@@ -113,18 +114,27 @@ def edge_ideal(H: Clutter) -> MonomialIdeal:
 
 
 def matching_number(H: Clutter) -> int:
-    """Largest number of pairwise-disjoint edges, by backtracking."""
+    """Largest number of pairwise-disjoint edges, by backtracking: a branch stops
+    once neither the edges left nor the free vertices over the least edge size
+    can beat the best.  Loop steps count against PACKING_VISIT_CAP."""
     edges = H.edges
     m = len(edges)
-    best = 0
+    smallest = min(map(int.bit_count, edges)) if edges else 1
+    best = steps = 0
 
     def extend(i: int, used: int, count: int) -> None:
-        nonlocal best
+        nonlocal best, steps
         if count > best:
             best = count
-        if count + (m - i) <= best:
+        if count + (m - i) <= best or count + (H.n - used.bit_count()) // smallest <= best:
             return
         for j in range(i, m):
+            steps += 1
+            if steps > monomials.PACKING_VISIT_CAP:
+                raise ResourceLimitExceeded(
+                    f"matching search made {steps} steps, above the cap of "
+                    f"{monomials.PACKING_VISIT_CAP}"
+                )
             if not edges[j] & used:
                 extend(j + 1, used | edges[j], count + 1)
 

@@ -256,8 +256,8 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     From the unit monomial, each prime power P_A^k is met by the deficit
     rule: the minimal multiples in P_A^k of a generator g are the g*m for
     every monomial m on A's variables of degree k - sum_A(g), or g itself
-    when sum_A(g) >= k.  Refused when the first prime's expansion or the
-    pairs the later primes would test pass SIMIS_CANDIDATE_CAP.
+    when sum_A(g) >= k.  Refused when the generator pairs the primes would
+    test pass SIMIS_CANDIDATE_CAP.
     """
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
@@ -300,23 +300,15 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
     guard = sum(1 << (s + w - 1) for s in shifts)
     gens = [0]  # packed monomials, starting from the unit monomial
     work = 0
-    for p, A in enumerate(primes):
+    for A in primes:
         a_shifts = [shifts[v - 1] for v in A]
-        n_steps = comb(len(a_shifts) + k - 1, k)
-        if not p:  # the unit monomial becomes the n_steps monomials of degree k on A
-            if n_steps * k > SIMIS_CANDIDATE_CAP:
-                raise ResourceLimitExceeded(
-                    f"expanding the first of {len(primes)} minimal primes to its {k}-th power "
-                    f"gives {n_steps} monomials of degree {k}, {n_steps * k} in total degree, "
-                    f"above the cap of {SIMIS_CANDIDATE_CAP}"
-                )
-        else:  # the cap predicts the pairs an intersection with P_A^k would test
-            work += len(gens) * n_steps
-            if work > SIMIS_CANDIDATE_CAP:
-                raise ResourceLimitExceeded(
-                    f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
-                    f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
-                )
+        # the cap predicts the pairs an intersection with P_A^k would test
+        work += len(gens) * comb(len(a_shifts) + k - 1, k)
+        if work > SIMIS_CANDIDATE_CAP:
+            raise ResourceLimitExceeded(
+                f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
+                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
+            )
         units = [1 << s for s in a_shifts]
         a_mask = sum(field << s for s in a_shifts)
         multipliers: dict[int, list[int] | None] = {}  # by fields on A; None if in P_A^k
@@ -376,10 +368,10 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     A squarefree I has I^k inside I^(k), so only the generators of the
     symbolic power need testing, in lex order.  g lies in I^k iff k
     generators of I pack under its exponents (psi_g >= k for I's incidence
-    matrix), asked of one :class:`_Packing` whose cap covers the call.  A
-    huge k is refused by the symbolic power's first prime, before anything
-    of size k is built.  Zero and unit ideals trivially report equal.  Raises
-    if a generator of I misses a minimal prime (that would falsify the
+    matrix), asked of one :class:`_Packing` whose cap covers the call.  The
+    symbolic power's cap counts generator pairs, not degrees, so a principal
+    ideal answers at any k.  Zero and unit ideals trivially report equal.
+    Raises if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """
     if k < 1:

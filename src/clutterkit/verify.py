@@ -21,12 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clutters import has_packing, incidence_matrix, edge_ideal
-from .graphs import Graph, classify_graph, clutter_of_graph, enumerate_graphs_upto_iso
+from .graphs import (
+    ENUMERATION_VERTEX_CAP,
+    Graph,
+    classify_graph,
+    clutter_of_graph,
+    enumerate_graphs_upto_iso,
+)
 from .lp import duality_gap_search, structural_mfmc_check
 from .monomials import is_simis
 
 VERIFY_MIN_N = 3
-VERIFY_MAX_N = 7
+VERIFY_MAX_N = ENUMERATION_VERTEX_CAP
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,9 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 
     Materializes each prime power P_A^k (all degree-k monomials on A) and
     meets it with the running result through the generic
-    :func:`clutterkit.intersect`.  Same refusal at a later prime, with the
-    same predicted count and message, as :func:`clutterkit.symbolic_power`;
-    it does not make that function's refusal at the first prime.
+    :func:`clutterkit.intersect`, starting from the unit ideal.  Same
+    refusal at the same prime, with the same predicted count and message,
+    as :func:`clutterkit.symbolic_power`.
     """
     primes = minimal_primes(I)
 
@@ -124,17 +124,16 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
             gens.append(tuple(m))
         return MonomialIdeal(I.n, tuple(sorted(gens)))
 
-    result = prime_power(primes[0])
+    result = MonomialIdeal.unit(I.n)
     work = 0
-    for A in primes[1:]:
-        P = prime_power(A)
-        work += len(result.gens) * len(P.gens)
+    for A in primes:
+        work += len(result.gens) * comb(len(A) + k - 1, k)
         if work > SIMIS_CANDIDATE_CAP:
             raise ResourceLimitExceeded(
                 f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
                 f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
             )
-        result = intersect(result, P)
+        result = intersect(result, prime_power(A))
     return result
 
 

@@ -51,10 +51,12 @@ class TestSimis:
         assert payload["equal"] is True
 
     def test_principal_ideal_high_degree(self):
+        # one generator at every minimal prime, whatever k is
         data = json.dumps({"n": 2, "gens": [[1, 1]]})
-        result = invoke(["simis", "-", "-k", "5"], input=data)
-        assert result.exit_code == 0
-        assert json.loads(result.output)["equal"] is True
+        for k in (5, 10**9):
+            result = invoke(["simis", "-", "-k", str(k)], input=data)
+            assert result.exit_code == 0
+            assert json.loads(result.output) == {"k": k, "equal": True, "witness": None}
 
     def test_malformed_input_exits_2(self):
         assert invoke(["simis", "-"], input="{not json").exit_code == 2
@@ -66,7 +68,8 @@ class TestSimis:
         assert invoke(["simis", "/nonexistent/input.json"]).exit_code == 2
 
     def test_degree_over_cap_exits_2(self):
-        # the first minimal prime {1, 3} would give 401 monomials of degree 400
+        # each of the 6 minimal primes has 401 generators at k = 400, so the
+        # second prime alone would test 401 * 401 generator pairs
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
         result = invoke(["simis", "-", "-k", "400"], input=path5)
         assert result.exit_code == 2
@@ -123,6 +126,12 @@ class TestKoenigClassifyDecompose:
         path = write_json(tmp_path, "h.json", PAW_CLUTTER)
         payload = json.loads(invoke(["koenig", path]).output)
         assert payload == {"koenig": True, "cover_number": 2, "matching_number": 2}
+
+    def test_koenig_answers_the_complete_graph_on_twenty_vertices(self):
+        K20 = {"n": 20, "edges": [[a, b] for a in range(1, 21) for b in range(a + 1, 21)]}
+        result = invoke(["koenig", "-"], input=json.dumps(K20))
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"koenig": False, "cover_number": 19, "matching_number": 10}
 
     def test_koenig_solves_each_number_once(self, monkeypatch, tmp_path):
         import clutterkit.cli as cli

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from clutterkit import (
     minor,
 )
 from clutterkit import clutters as clutters_module
+from clutterkit import monomials
 from clutterkit.clutters import IncidenceMatrix
 from oracles import (
     all_clutters_with_edges,
@@ -123,6 +124,27 @@ class TestMatchingCover:
             H = random_clutter(rng, allow_edgeless=True)
             assert matching_number(H) == brute_matching_number(H)
             assert cover_number(H) == brute_cover_number(H)
+
+    def test_every_clutter_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for H in [make_clutter(n, []), *all_clutters_with_edges(n)]:
+                assert matching_number(H) == brute_matching_number(H)
+
+    @pytest.mark.parametrize("n", (16, 20))
+    def test_complete_graphs_answer(self, n):
+        # K20 has 190 edges; the free-vertex cut stops every branch once a
+        # perfect matching is found
+        assert matching_number(make_clutter(n, combinations(range(1, n + 1), 2))) == n // 2
+
+    def test_search_cap_counts_steps(self, monkeypatch):
+        # K20 takes 1,375 loop steps; the cap is read at call time, and the
+        # message gives the count that crossed it
+        K20 = make_clutter(20, combinations(range(1, 21), 2))
+        monkeypatch.setattr(monomials, "PACKING_VISIT_CAP", 1375)
+        assert matching_number(K20) == 10
+        monkeypatch.setattr(monomials, "PACKING_VISIT_CAP", 1374)
+        with pytest.raises(ResourceLimitExceeded, match=r"made 1375 steps, above the cap of 1374$"):
+            matching_number(K20)
 
     def test_covers_equal_minimal_primes(self, rng):
         for _ in range(60):
