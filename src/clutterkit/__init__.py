@@ -11,7 +11,6 @@ from .clutters import (
     TRIVIAL,
     cover_number,
     edge_ideal,
-    extend,
     has_koenig,
     has_packing,
     incidence_matrix,
@@ -23,19 +22,15 @@ from .errors import DimensionMismatch, ResourceLimitExceeded
 from .graphs import (
     Graph,
     REFERENCE_GRAPHS,
-    associated_graph,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
     enumerate_graphs_upto_iso,
-    graphs_isomorphic,
     make_graph,
     primary_decomposition_cx,
 )
 from .lp import (
-    BASE_MATRICES,
     duality_gap_search,
-    extend_matrix,
     phi,
     psi,
     solve_lp,
@@ -44,14 +39,12 @@ from .lp import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    contains_monomial,
     intersect,
     is_simis,
     minimal_primes,
     minimalize,
     multiply,
     power,
-    prime_power_contains,
     symbolic_power,
 )
 from .verify import verify_theorem

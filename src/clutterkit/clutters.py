@@ -1,6 +1,5 @@
 """Clutters (antichain hypergraphs): minors, matching/covering, Konig and
-packing deciders with certificates, edge ideals, universal-vertex extensions,
-and incidence matrices.
+packing deciders with certificates, edge ideals and incidence matrices.
 
 Vertices are 1-based; edges are stored as bitmasks (bit i-1 = vertex i),
 sorted ascending, which fixes a canonical edge order throughout.  Minors
@@ -68,21 +67,6 @@ class Clutter:
 
     def edge_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_vertices_of(e) for e in self.edges)
-
-    def uniformity(self) -> int | None:
-        """Common edge size if the clutter is uniform (or edgeless), else None."""
-        sizes = {e.bit_count() for e in self.edges}
-        if not sizes:
-            return 0
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        covered = 0
-        for e in self.edges:
-            covered |= e
-        return tuple(v for v in range(1, self.n + 1) if not covered >> (v - 1) & 1)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edge_vertex_sets()]}
@@ -301,16 +285,6 @@ def has_packing(H: Clutter) -> PackingReport:
 
     failing = delete((), H.edges, 1)
     return PackingReport(failing is None, failing)
-
-
-def extend(H: Clutter, r: int) -> Clutter:
-    """Append r new vertices and put all of them into every edge."""
-    if r < 0:
-        raise ValueError(f"extension count must be >= 0, got {r}")
-    if r == 0:
-        return H
-    new_bits = ((1 << r) - 1) << H.n
-    return Clutter(H.n + r, tuple(sorted(e | new_bits for e in H.edges)))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Covers the correspondence between graphs on n vertices and (n-2)-uniform
 clutters (each clutter edge is the complement of a graph edge), the
 combinatorial primary decomposition of the complementary edge ideal, the
 six-graph classification behind the packing/symbolic-power equivalences,
-and small-graph enumeration up to isomorphism.  Enumeration, isomorphism
-and classification share one exact canonizer: the least edge bitmask over
-all relabelings.
+and small-graph enumeration up to isomorphism.  Enumeration and
+classification share one exact canonizer: the least edge bitmask over all
+relabelings.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .clutters import Clutter, make_clutter
-from .errors import ResourceLimitExceeded
 from .monomials import MonomialIdeal, PrimeSupport, intersect, minimalize
 
 ENUMERATION_VERTEX_CAP = 7
-ISOMORPHISM_VERTEX_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -128,20 +126,6 @@ def clutter_of_graph(G: Graph) -> Clutter:
         raise ValueError("clutter_of_graph requires at least one edge")
     vertex_set = set(range(1, G.n + 1))
     return make_clutter(G.n, [vertex_set - {a, b} for a, b in G.edges])
-
-
-def associated_graph(H: Clutter) -> Graph:
-    """Inverse of clutter_of_graph: each clutter edge complements a graph edge."""
-    if H.n < 3:
-        raise ValueError("associated_graph requires at least 3 vertices")
-    d = H.uniformity()
-    if H.edges and d != H.n - 2:
-        raise ValueError(
-            f"clutter is not ({H.n - 2})-uniform (edge sizes give {d})"
-        )
-    vertex_set = set(range(1, H.n + 1))
-    pairs = [tuple(sorted(vertex_set - set(e))) for e in H.edge_vertex_sets()]
-    return make_graph(H.n, pairs)
 
 
 def primary_decomposition_cx(G: Graph) -> tuple[PrimeSupport, ...]:
@@ -267,18 +251,6 @@ def _canonical_mask(G: Graph) -> int:
     slots = _pair_slots(G.n)
     mask = sum(1 << slots.index((a - 1, b - 1)) for a, b in G.edges)
     return _least_mask(G.n, mask, slots)
-
-
-def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
-    """Compare vertex counts and least edge masks; capped at 8 vertices, as
-    the canonizer slows down on symmetric graphs."""
-    if G1.n != G2.n or len(G1.edges) != len(G2.edges):
-        return False
-    if G1.n > ISOMORPHISM_VERTEX_CAP:
-        raise ResourceLimitExceeded(
-            f"isomorphism test capped at {ISOMORPHISM_VERTEX_CAP} vertices, got {G1.n}"
-        )
-    return _canonical_mask(G1) == _canonical_mask(G2)
 
 
 # (vertex count, least edge mask) -> label, for the six references

@@ -9,10 +9,10 @@ For 0/1 covering constraints restricting x to {0,1}^n is lossless (raising
 a coordinate above 1 never helps), which the tests cross-check against a
 wider box.  psi is the packing search that simis membership also runs: g
 lies in I^k iff psi_g >= k for I's incidence matrix.  The module also
-provides the all-ones column extension, the duality-gap scan (one
-lexicographic pass over a bounded alpha box that stops at the first gap),
-and the structural characterization of the matrices with no gap anywhere
-(row sums n-2) by the zero counts of their columns.
+provides the duality-gap scan (one lexicographic pass over a bounded alpha
+box that stops at the first gap) and the structural characterization of
+the matrices with no gap anywhere (row sums n-2) by the zero counts of
+their columns.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ from .monomials import _Packing, minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
 SCAN_STATE_CAP = 5_000_000
-
-
-def extend_matrix(A: IncidenceMatrix, r: int) -> IncidenceMatrix:
-    """Append r all-ones columns (a universal vertex per column); r=0 is A."""
-    if r < 0:
-        raise ValueError(f"extension count must be >= 0, got {r}")
-    if r == 0:
-        return A
-    data = tuple(tuple(row) + (1,) * r for row in A.data)
-    return IncidenceMatrix(A.rows, A.cols + r, data)
 
 
 def _checked_alpha(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
@@ -184,27 +174,9 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
 
 # --- structural characterization of gap-free row-sum-(n-2) matrices --------
 
-# Incidence matrices of the clutters of the six reference graphs.  K2 gives
-# two bases: its own clutter is edgeless (0x2), and since appending universal
-# vertices to an edgeless clutter cannot create edges, the single-edge clutter
-# it induces once an isolated vertex is present (1x3) is a base of its own.
-BASE_MATRICES = tuple(
-    (label, IncidenceMatrix.from_rows(rows, cols))
-    for label, rows, cols in (
-        ("K2", [], 2),
-        ("K2+isolated", [(0, 0, 1)], 3),
-        ("K3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
-        ("P3", [(0, 0, 1), (1, 0, 0)], 3),
-        ("2K2", [(1, 1, 0, 0), (0, 0, 1, 1)], 4),
-        ("P4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)], 4),
-        ("C4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)], 4),
-    )
-)
-
-
 def structural_mfmc_check(M: IncidenceMatrix) -> bool:
-    """True iff M is, up to independent row and column permutations, an
-    all-ones-column extension of one of the base matrices.
+    """True iff M is, up to independent row and column permutations, the
+    clutter matrix of one of the six reference graphs plus isolated vertices.
 
     Requires every row sum to equal cols-2 and the rows to be distinct and
     nonzero (M is then the incidence matrix of an (n-2)-uniform clutter,
@@ -218,13 +190,14 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
     degree in G, and the all-ones columns are G's isolated vertices.
     Permuting rows and columns gives an isomorphic G, and appending
     all-ones columns adds isolated vertices, so M passes iff G is one of
-    the base graphs plus isolated vertices.  Without its isolated vertices, a graph
-    whose degrees are all at most 2 is a disjoint union of paths and
-    cycles, and on at most 4 vertices these are exactly K2, P3, K3, 2K2,
-    P4 and C4.  ``n >= 2`` matters only without rows: the 0 x 2 edgeless
-    K2 base extends to every wider 0-row matrix, while 0-row matrices with
-    fewer columns fail.  A matrix with rows has n >= 3, and more than 4
-    rows give more than 4 touched columns or a degree above 2.
+    the reference graphs plus isolated vertices.  Without its isolated
+    vertices, a graph whose degrees are all at most 2 is a disjoint union
+    of paths and cycles, and on at most 4 vertices these are exactly K2,
+    P3, K3, 2K2, P4 and C4.  ``n >= 2`` matters only without rows: K2's
+    clutter is the edgeless 0 x 2 matrix, and isolated vertices widen it to
+    every wider 0-row matrix, while 0-row matrices with fewer columns fail.
+    A matrix with rows has n >= 3, and more than 4 rows give more than 4
+    touched columns or a degree above 2.
     """
     n = M.cols
     for row in M.data:

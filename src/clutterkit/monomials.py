@@ -164,14 +164,6 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
-def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
-    """True iff m lies in I, i.e. some generator divides m."""
-    m = tuple(m)
-    if len(m) != I.n:
-        raise DimensionMismatch(f"monomial of length {len(m)} vs n={I.n}")
-    return any(divides(g, m) for g in I.gens)
-
-
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Intersection: the minimal lcms of the generator pairs."""
     _check_same_n(I, J)
@@ -234,20 +226,6 @@ def minimal_primes(I: MonomialIdeal) -> tuple[PrimeSupport, ...]:
         frozenset(i + 1 for i in range(n) if mask >> i & 1)
         for mask in minimal_cover_masks((_support_mask(g) for g in I.gens), n)
     )
-
-
-def prime_power_contains(A: PrimeSupport, k: int, m: Monomial) -> bool:
-    """Membership of m in the k-th power of the prime generated by A's variables.
-
-    Holds iff the exponents of m summed over A reach k.
-    """
-    if not A:
-        raise ValueError("prime support must be nonempty")
-    if k < 1:
-        raise ValueError(f"prime_power_contains requires k >= 1, got {k}")
-    if any(v < 1 or v > len(m) for v in A):
-        raise DimensionMismatch(f"support {sorted(A)} out of range for n={len(m)}")
-    return sum(m[v - 1] for v in A) >= k
 
 
 def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:

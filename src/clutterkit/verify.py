@@ -140,6 +140,8 @@ def verify_theorem(n: int, k_list: tuple[int, ...] = (2, 3), box: int = 2) -> Th
         )
     if not k_list:
         raise ValueError("k_list must not be empty")
+    if min(k_list) < 1:
+        raise ValueError(f"k_list entries must be >= 1, got {min(k_list)}")
     if box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
     k_list = tuple(sorted(set(k_list)))

@@ -22,6 +22,19 @@ the column-degree test;
 ``reference_classify_graph`` is the earlier classification by canonical
 forms of incidence matrices, kept as the reference for the least-mask
 lookup.
+
+The names from ``contains_monomial`` to ``BASE_MATRICES`` below were
+public library names that no decider, CLI command or ``verify_theorem``
+calls; they live here unchanged, next to the tests that use them:
+``contains_monomial`` and ``prime_power_contains`` (membership in an ideal
+and in a prime power), ``uniformity``, ``isolated_vertices`` and
+``extend`` (the universal-vertex extension of a clutter),
+``associated_graph`` (the inverse of ``clutter_of_graph``),
+``graphs_isomorphic`` with its ``ISOMORPHISM_VERTEX_CAP``, and
+``extend_matrix`` with the ``BASE_MATRICES`` that
+``reference_structural_mfmc_check`` extends.  ``graphs_isomorphic`` calls
+the library's ``_canonical_mask``, so its networkx tests still pin the
+canonizer that enumeration and classification use.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -31,13 +44,13 @@ from clutterkit import (
     REFERENCE_GRAPHS,
     TRIVIAL,
     Clutter,
+    DimensionMismatch,
     Graph,
     IncidenceMatrix,
+    Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
-    contains_monomial,
     cover_number,
-    extend_matrix,
     incidence_matrix,
     intersect,
     make_clutter,
@@ -55,13 +68,128 @@ from clutterkit.clutters import (
     PackingReport,
     _subsets_lex,
 )
-from clutterkit.graphs import ENUMERATION_VERTEX_CAP, GraphClass, _graph_from_mask, _pair_slots
-from clutterkit.lp import BASE_MATRICES, SCAN_STATE_CAP, _checked_alpha
+from clutterkit.graphs import (
+    ENUMERATION_VERTEX_CAP,
+    GraphClass,
+    _canonical_mask,
+    _graph_from_mask,
+    _pair_slots,
+)
+from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
 from clutterkit.monomials import (
     SIMIS_CANDIDATE_CAP,
+    PrimeSupport,
     SimisReport,
+    divides,
     minimal_cover_masks,
     minimal_primes,
+)
+
+
+def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
+    """True iff m lies in I, i.e. some generator divides m."""
+    m = tuple(m)
+    if len(m) != I.n:
+        raise DimensionMismatch(f"monomial of length {len(m)} vs n={I.n}")
+    return any(divides(g, m) for g in I.gens)
+
+
+def prime_power_contains(A: PrimeSupport, k: int, m: Monomial) -> bool:
+    """Membership of m in the k-th power of the prime generated by A's variables.
+
+    Holds iff the exponents of m summed over A reach k.
+    """
+    if not A:
+        raise ValueError("prime support must be nonempty")
+    if k < 1:
+        raise ValueError(f"prime_power_contains requires k >= 1, got {k}")
+    if any(v < 1 or v > len(m) for v in A):
+        raise DimensionMismatch(f"support {sorted(A)} out of range for n={len(m)}")
+    return sum(m[v - 1] for v in A) >= k
+
+
+def uniformity(H: Clutter) -> int | None:
+    """Common edge size if the clutter is uniform (or edgeless), else None."""
+    sizes = {e.bit_count() for e in H.edges}
+    if not sizes:
+        return 0
+    if len(sizes) == 1:
+        return sizes.pop()
+    return None
+
+
+def isolated_vertices(H: Clutter) -> tuple[int, ...]:
+    """Vertices of H that no edge contains."""
+    covered = 0
+    for e in H.edges:
+        covered |= e
+    return tuple(v for v in range(1, H.n + 1) if not covered >> (v - 1) & 1)
+
+
+def extend(H: Clutter, r: int) -> Clutter:
+    """Append r new vertices and put all of them into every edge."""
+    if r < 0:
+        raise ValueError(f"extension count must be >= 0, got {r}")
+    if r == 0:
+        return H
+    new_bits = ((1 << r) - 1) << H.n
+    return Clutter(H.n + r, tuple(sorted(e | new_bits for e in H.edges)))
+
+
+def associated_graph(H: Clutter) -> Graph:
+    """Inverse of clutter_of_graph: each clutter edge complements a graph edge."""
+    if H.n < 3:
+        raise ValueError("associated_graph requires at least 3 vertices")
+    d = uniformity(H)
+    if H.edges and d != H.n - 2:
+        raise ValueError(
+            f"clutter is not ({H.n - 2})-uniform (edge sizes give {d})"
+        )
+    vertex_set = set(range(1, H.n + 1))
+    pairs = [tuple(sorted(vertex_set - set(e))) for e in H.edge_vertex_sets()]
+    return make_graph(H.n, pairs)
+
+
+ISOMORPHISM_VERTEX_CAP = 8
+
+
+def graphs_isomorphic(G1: Graph, G2: Graph) -> bool:
+    """Compare vertex counts and least edge masks; capped at 8 vertices, as
+    the canonizer slows down on symmetric graphs."""
+    if G1.n != G2.n or len(G1.edges) != len(G2.edges):
+        return False
+    if G1.n > ISOMORPHISM_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"isomorphism test capped at {ISOMORPHISM_VERTEX_CAP} vertices, got {G1.n}"
+        )
+    return _canonical_mask(G1) == _canonical_mask(G2)
+
+
+def extend_matrix(A: IncidenceMatrix, r: int) -> IncidenceMatrix:
+    """Append r all-ones columns (a universal vertex per column); r=0 is A."""
+    if r < 0:
+        raise ValueError(f"extension count must be >= 0, got {r}")
+    if r == 0:
+        return A
+    data = tuple(tuple(row) + (1,) * r for row in A.data)
+    return IncidenceMatrix(A.rows, A.cols + r, data)
+
+
+# Incidence matrices of the clutters of the six reference graphs.  K2 gives
+# two bases: its own clutter is edgeless (0x2), and since appending universal
+# vertices to an edgeless clutter cannot create edges, the single-edge clutter
+# it induces once an isolated vertex is present (1x3) is a base of its own.
+BASE_MATRICES = tuple(
+    (label, IncidenceMatrix.from_rows(rows, cols))
+    for label, rows, cols in (
+        ("K2", [], 2),
+        ("K2+isolated", [(0, 0, 1)], 3),
+        ("K3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        ("P3", [(0, 0, 1), (1, 0, 0)], 3),
+        ("2K2", [(1, 1, 0, 0), (0, 0, 1, 1)], 4),
+        ("P4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)], 4),
+        ("C4", [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0)], 4),
+    )
 )
 
 

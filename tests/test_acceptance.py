@@ -6,16 +6,12 @@ from contextlib import contextmanager
 from itertools import product
 
 from clutterkit import (
-    BASE_MATRICES,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
-    contains_monomial,
     duality_gap_search,
     edge_ideal,
     enumerate_graphs_upto_iso,
-    extend,
-    extend_matrix,
     has_packing,
     incidence_matrix,
     intersect,
@@ -25,11 +21,18 @@ from clutterkit import (
     minimal_primes,
     minimalize,
     power,
-    prime_power_contains,
     symbolic_power,
 )
 from clutterkit.verify import verify_theorem
-from oracles import random_clutter, random_squarefree_ideal
+from oracles import (
+    BASE_MATRICES,
+    contains_monomial,
+    extend,
+    extend_matrix,
+    prime_power_contains,
+    random_clutter,
+    random_squarefree_ideal,
+)
 
 
 @contextmanager

@@ -281,6 +281,11 @@ class TestVerifyTheoremCommand:
     def test_out_of_range_exits_2(self):
         assert invoke(["verify-theorem", "-n", "9"]).exit_code == 2
 
+    def test_degree_below_one_exits_2(self):
+        result = invoke(["verify-theorem", "-n", "7", "-k", "0"])
+        assert result.exit_code == 2
+        assert "k_list entries must be >= 1, got 0" in result.output
+
     def test_csv_output(self):
         result = invoke(["--csv", "verify-theorem", "-n", "3"])
         assert result.exit_code == 0

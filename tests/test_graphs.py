@@ -9,13 +9,11 @@ from clutterkit import (
     Graph,
     REFERENCE_GRAPHS,
     ResourceLimitExceeded,
-    associated_graph,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
     edge_ideal,
     enumerate_graphs_upto_iso,
-    graphs_isomorphic,
     has_packing,
     intersect,
     is_simis,
@@ -27,11 +25,15 @@ from clutterkit import (
 )
 from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
+    associated_graph,
     brute_least_mask,
+    graphs_isomorphic,
+    isolated_vertices,
     nx_count_classes,
     nx_isomorphic,
     reference_classify_graph,
     reference_enumerate_graphs,
+    uniformity,
 )
 
 
@@ -99,13 +101,13 @@ class TestGraphClutterCorrespondence:
     def test_star_clutter(self):
         H = clutter_of_graph(star4())
         assert H.edge_vertex_sets() == ((2, 3), (2, 4), (3, 4))
-        assert H.isolated_vertices() == (1,)
+        assert isolated_vertices(H) == (1,)
 
     def test_square_cycle_clutter(self):
         C4 = REFERENCE_GRAPHS["C4"]
         H = clutter_of_graph(C4)
         assert set(H.edge_vertex_sets()) == {(3, 4), (1, 4), (1, 2), (2, 3)}
-        assert H.uniformity() == 2
+        assert uniformity(H) == 2
 
     def test_roundtrip_on_four_vertices(self):
         for G in enumerate_graphs_upto_iso(4, require_edge=True):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from clutterkit import (
-    BASE_MATRICES,
     DimensionMismatch,
     IncidenceMatrix,
     ResourceLimitExceeded,
@@ -14,8 +13,6 @@ from clutterkit import (
     classify_graph,
     duality_gap_search,
     enumerate_graphs_upto_iso,
-    extend,
-    extend_matrix,
     incidence_matrix,
     make_clutter,
     phi,
@@ -24,9 +21,12 @@ from clutterkit import (
     structural_mfmc_check,
 )
 from oracles import (
+    BASE_MATRICES,
     all_clutters_with_edges,
     brute_phi,
     brute_psi,
+    extend,
+    extend_matrix,
     random_clutter,
     reference_gap_scan,
     reference_structural_mfmc_check,

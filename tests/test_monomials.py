@@ -10,7 +10,6 @@ from clutterkit import (
     DimensionMismatch,
     MonomialIdeal,
     ResourceLimitExceeded,
-    contains_monomial,
     edge_ideal,
     enumerate_graphs_upto_iso,
     intersect,
@@ -21,13 +20,14 @@ from clutterkit import (
     minimalize,
     multiply,
     power,
-    prime_power_contains,
     symbolic_power,
 )
 from oracles import (
     all_clutters_with_edges,
     brute_minimalize,
+    contains_monomial,
     iter_monomials,
+    prime_power_contains,
     random_squarefree_ideal,
     reference_is_simis,
     reference_symbolic_power,

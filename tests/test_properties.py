@@ -14,9 +14,7 @@ from clutterkit import (
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
-    contains_monomial,
     duality_gap_search,
-    extend,
     has_packing,
     incidence_matrix,
     is_simis,
@@ -33,6 +31,8 @@ from clutterkit import (
 )
 from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
+    contains_monomial,
+    extend,
     random_squarefree_ideal,
     reference_gap_scan,
     reference_has_packing,

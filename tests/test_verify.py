@@ -41,6 +41,15 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(3, k_list=())
 
+    def test_degree_below_one_rejected_before_enumeration(self, monkeypatch):
+        def enumerate_graphs(*args, **kwargs):
+            raise AssertionError("enumerated before checking k_list")
+
+        monkeypatch.setattr("clutterkit.verify.enumerate_graphs_upto_iso", enumerate_graphs)
+        for k_list in ((0,), (2, 0), (3, -1)):
+            with pytest.raises(ValueError, match="k_list entries must be >= 1"):
+                verify_theorem(7, k_list=k_list)
+
     def test_csv_shape(self):
         report = verify_theorem(3)
         rows = report.csv_rows()
