@@ -39,7 +39,6 @@ from .lp import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    intersect,
     is_simis,
     minimal_primes,
     minimalize,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .clutters import Clutter, make_clutter
-from .monomials import MonomialIdeal, PrimeSupport, intersect, minimalize
+from .monomials import MonomialIdeal, PrimeSupport, _symbolic_power, minimalize
 
 ENUMERATION_VERTEX_CAP = 7
 
@@ -134,7 +134,9 @@ def primary_decomposition_cx(G: Graph) -> tuple[PrimeSupport, ...]:
     Union of singletons at isolated vertices, non-edges of G (edges of the
     complement), and vertex triples inducing triangles; pairs that contain
     an isolated vertex are absorbed by the singleton below them.  The
-    intersection of the result is checked against the ideal itself.
+    intersection of the result is checked against the ideal itself, on the
+    chain that builds symbolic powers, run at k = 1 under its step cap
+    (ResourceLimitExceeded past it).
     """
     if not G.edges:
         raise ValueError("primary decomposition requires at least one edge")
@@ -149,13 +151,7 @@ def primary_decomposition_cx(G: Graph) -> tuple[PrimeSupport, ...]:
     parts.sort(key=lambda A: (len(A), sorted(A)))
 
     ideal = complementary_edge_ideal(G)
-    check = MonomialIdeal.unit(G.n)
-    for A in parts:
-        gens = [
-            tuple(1 if v == w else 0 for v in range(1, G.n + 1)) for w in sorted(A)
-        ]
-        check = intersect(check, MonomialIdeal(G.n, tuple(sorted(gens))))
-    if check.gens != ideal.gens:
+    if _symbolic_power(ideal, 1, parts).gens != ideal.gens:
         raise RuntimeError(
             "internal invariant violated: combinatorial decomposition does not "
             "intersect to the complementary edge ideal"

@@ -21,7 +21,7 @@ Monomial = tuple[int, ...]
 PrimeSupport = frozenset[int]
 
 MINIMAL_COVER_VERTEX_CAP = 20
-SIMIS_CANDIDATE_CAP = 100_000
+SYMBOLIC_STEP_CAP = 20_000_000
 PACKING_VISIT_CAP = 2_000_000
 
 
@@ -35,10 +35,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
 def _support_mask(m: Monomial) -> int:
@@ -164,13 +160,6 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Intersection: the minimal lcms of the generator pairs."""
-    _check_same_n(I, J)
-    cands = (monomial_lcm(g, h) for g in I.gens for h in J.gens)
-    return MonomialIdeal(I.n, minimal_generators(cands))
-
-
 def _require_proper_squarefree(I: MonomialIdeal, op: str) -> None:
     if I.is_zero or I.is_unit:
         raise ValueError(f"{op} requires a nonzero proper ideal")
@@ -234,8 +223,8 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     From the unit monomial, each prime power P_A^k is met by the deficit
     rule: the minimal multiples in P_A^k of a generator g are the g*m for
     every monomial m on A's variables of degree k - sum_A(g), or g itself
-    when sum_A(g) >= k.  Refused when the generator pairs the primes would
-    test pass SIMIS_CANDIDATE_CAP.
+    when sum_A(g) >= k.  Refused once the chain's own count of steps passes
+    SYMBOLIC_STEP_CAP (see :func:`_symbolic_power`).
     """
     if k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k}")
@@ -255,7 +244,10 @@ def _packed_monomials(units: list[int], d: int) -> list[int]:
 
 
 def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
-    """:func:`symbolic_power` with the minimal primes of I already known.
+    """The intersection of the P_A^k over `primes`, the minimal primes of I.
+
+    With k = 1 this is the intersection of the primes themselves, which
+    :func:`clutterkit.graphs.primary_decomposition_cx` checks against I.
 
     Each monomial on the chain is one int with a field of w = k.bit_length() + 1
     bits per variable, x1 in the top field, so int order is lex order.  No
@@ -270,6 +262,14 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
     agree on A.  And h <= c gives h <= c as ints.  So the candidates are
     taken in int order, each tested only against the kept and accepted
     generators with its fields on A (an equal int is a duplicate).
+
+    The chain counts its own steps against SYMBOLIC_STEP_CAP, each part
+    added before the work it counts: at every prime, one per generator
+    visited; 10 per candidate, sized with comb before any is built (a
+    candidate is built, sorted and held, and the weight keeps a refused
+    request to at most 2,000,000 of them); and one per divisibility test,
+    a candidate's bucket length at a time.  A principal ideal makes one
+    candidate per prime, whatever k is.
     """
     n = I.n
     w = k.bit_length() + 1
@@ -277,44 +277,48 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
     field = (1 << w) - 1
     guard = sum(1 << (s + w - 1) for s in shifts)
     gens = [0]  # packed monomials, starting from the unit monomial
-    work = 0
+    steps = 0  # never decreases, so every break below ends at the one raise after the loop
     for A in primes:
+        steps += len(gens)
+        if steps > SYMBOLIC_STEP_CAP:
+            break
         a_shifts = [shifts[v - 1] for v in A]
-        # the cap predicts the pairs an intersection with P_A^k would test
-        work += len(gens) * comb(len(a_shifts) + k - 1, k)
-        if work > SIMIS_CANDIDATE_CAP:
-            raise ResourceLimitExceeded(
-                f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
-                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
-            )
-        units = [1 << s for s in a_shifts]
         a_mask = sum(field << s for s in a_shifts)
-        multipliers: dict[int, list[int] | None] = {}  # by fields on A; None if in P_A^k
-        by_a_part: dict[int, list[int]] = {}  # generators in P_A^k by their fields on A
-        kept: list[int] = []
-        cands: list[int] = []
+        groups: dict[int, list[int]] = {}  # the generators by their fields on A
         for g in gens:
-            a_part = g & a_mask
-            if a_part not in multipliers:
-                deficit = k - sum(a_part >> s & field for s in a_shifts)
-                multipliers[a_part] = _packed_monomials(units, deficit) if deficit > 0 else None
-            ms = multipliers[a_part]
-            if ms is None:
-                kept.append(g)
-                by_a_part.setdefault(a_part, []).append(g)
+            groups.setdefault(g & a_mask, []).append(g)
+        buckets: dict[int, list[int]] = {}  # the generators in P_A^k by their fields on A
+        short: list[tuple[int, list[int]]] = []  # (deficit, generators) outside P_A^k
+        for a_part, group in groups.items():
+            deficit = k - sum(a_part >> s & field for s in a_shifts)
+            if deficit > 0:
+                short.append((deficit, group))
+                steps += 10 * len(group) * comb(len(a_shifts) + deficit - 1, deficit)
             else:
-                cands += map(g.__add__, ms)
+                buckets[a_part] = group
+        if steps > SYMBOLIC_STEP_CAP:
+            break
+        units = [1 << s for s in a_shifts]
+        cands = [g + m for d, group in short for m in _packed_monomials(units, d) for g in group]
         cands.sort()
         for c in cands:
-            divisors = by_a_part.setdefault(c & a_mask, [])
+            divisors = buckets.setdefault(c & a_mask, [])
+            steps += len(divisors)
+            if steps > SYMBOLIC_STEP_CAP:
+                break
             c_guarded = c | guard
             for b in divisors:
                 if (c_guarded - b) & guard == guard:
                     break
             else:
                 divisors.append(c)
-                kept.append(c)
-        gens = kept
+        gens = [g for bucket in buckets.values() for g in bucket]
+    if steps > SYMBOLIC_STEP_CAP:
+        raise ResourceLimitExceeded(
+            f"the symbolic-power chain over {len(primes)} minimal primes at k = {k} counted "
+            f"{steps} steps (generator visits, 10 per candidate, divisibility tests), "
+            f"above the cap of {SYMBOLIC_STEP_CAP}"
+        )
     return MonomialIdeal(
         n, tuple(tuple(g >> s & field for s in shifts) for g in sorted(gens))
     )
@@ -347,8 +351,9 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     symbolic power need testing, in lex order.  g lies in I^k iff k
     generators of I pack under its exponents (psi_g >= k for I's incidence
     matrix), asked of one :class:`_Packing` whose cap covers the call.  The
-    symbolic power's cap counts generator pairs, not degrees, so a principal
-    ideal answers at any k.  Zero and unit ideals trivially report equal.
+    symbolic power's cap counts the chain's own steps, not degrees, so a
+    principal ideal answers at any k.  Zero and unit ideals trivially report
+    equal.
     Raises if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """

@@ -27,7 +27,9 @@ The names from ``contains_monomial`` to ``BASE_MATRICES`` below were
 public library names that no decider, CLI command or ``verify_theorem``
 calls; they live here unchanged, next to the tests that use them:
 ``contains_monomial`` and ``prime_power_contains`` (membership in an ideal
-and in a prime power), ``uniformity``, ``isolated_vertices`` and
+and in a prime power), ``intersect`` with its ``monomial_lcm`` (the
+pairwise-lcm intersection of two ideals, which the decomposition tests and
+``reference_symbolic_power`` use), ``uniformity``, ``isolated_vertices`` and
 ``extend`` (the universal-vertex extension of a clutter),
 ``associated_graph`` (the inverse of ``clutter_of_graph``),
 ``graphs_isomorphic`` with its ``ISOMORPHISM_VERTEX_CAP``, and
@@ -39,6 +41,7 @@ canonizer that enumeration and classification use.
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
+from random import Random
 
 from clutterkit import (
     REFERENCE_GRAPHS,
@@ -52,7 +55,6 @@ from clutterkit import (
     ResourceLimitExceeded,
     cover_number,
     incidence_matrix,
-    intersect,
     make_clutter,
     make_graph,
     matching_number,
@@ -77,13 +79,18 @@ from clutterkit.graphs import (
 )
 from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
 from clutterkit.monomials import (
-    SIMIS_CANDIDATE_CAP,
     PrimeSupport,
     SimisReport,
+    _check_same_n,
     divides,
     minimal_cover_masks,
+    minimal_generators,
     minimal_primes,
 )
+
+# The references' own budget, in their own unit: generator pairs for
+# reference_symbolic_power, candidate monomials of I^k for reference_is_simis.
+REFERENCE_PAIR_CAP = 100_000
 
 
 def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
@@ -106,6 +113,17 @@ def prime_power_contains(A: PrimeSupport, k: int, m: Monomial) -> bool:
     if any(v < 1 or v > len(m) for v in A):
         raise DimensionMismatch(f"support {sorted(A)} out of range for n={len(m)}")
     return sum(m[v - 1] for v in A) >= k
+
+
+def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """Intersection: the minimal lcms of the generator pairs."""
+    _check_same_n(I, J)
+    cands = (monomial_lcm(g, h) for g in I.gens for h in J.gens)
+    return MonomialIdeal(I.n, minimal_generators(cands))
 
 
 def uniformity(H: Clutter) -> int | None:
@@ -232,14 +250,15 @@ def symbolic_generators_by_scan(primes, k, n):
     return tuple(sorted(gens))
 
 
-def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
+def reference_symbolic_power(I: MonomialIdeal, k: int, cap: int = REFERENCE_PAIR_CAP) -> MonomialIdeal:
     """The k-th symbolic power as a chain of pairwise-lcm intersections.
 
     Materializes each prime power P_A^k (all degree-k monomials on A) and
-    meets it with the running result through the generic
-    :func:`clutterkit.intersect`, starting from the unit ideal.  Same
-    refusal at the same prime, with the same predicted count and message,
-    as :func:`clutterkit.symbolic_power`.
+    meets it with the running result through the generic :func:`intersect`,
+    starting from the unit ideal.  Before each prime it adds the generator
+    pairs that intersection tests, |result| * C(|A|+k-1, k), and refuses
+    once the sum passes `cap`.  :func:`clutterkit.symbolic_power` counts its
+    own steps instead, so the two refuse different requests.
     """
     primes = minimal_primes(I)
 
@@ -256,10 +275,10 @@ def reference_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     work = 0
     for A in primes:
         work += len(result.gens) * comb(len(A) + k - 1, k)
-        if work > SIMIS_CANDIDATE_CAP:
+        if work > cap:
             raise ResourceLimitExceeded(
                 f"intersecting the {k}-th powers of {len(primes)} minimal primes tests "
-                f"at least {work} generator pairs, above the cap of {SIMIS_CANDIDATE_CAP}"
+                f"at least {work} generator pairs, above the cap of {cap}"
             )
         result = intersect(result, prime_power(A))
     return result
@@ -273,7 +292,7 @@ def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     generator of it is checked against the k-th powers of the minimal
     primes, and the witness is the lex-first generator of I^(k) that no
     generator of I^k divides.  It refuses up front when building I^k would
-    test more than SIMIS_CANDIDATE_CAP candidates; :func:`clutterkit.is_simis`,
+    test more than REFERENCE_PAIR_CAP candidates; :func:`clutterkit.is_simis`,
     which does not build I^k, answers some of those requests.
     """
     if k < 1:
@@ -284,10 +303,10 @@ def reference_is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         raise ValueError("is_simis requires squarefree generators")
     n_gens = len(I.gens)
     work = n_gens * comb(n_gens + k - 1, k - 1)
-    if work > SIMIS_CANDIDATE_CAP:
+    if work > REFERENCE_PAIR_CAP:
         raise ResourceLimitExceeded(
             f"building I^{k} from {n_gens} generators tests up to {work} candidate "
-            f"monomials, above the cap of {SIMIS_CANDIDATE_CAP}"
+            f"monomials, above the cap of {REFERENCE_PAIR_CAP}"
         )
     P = power(I, k)
     prime_indices = [tuple(v - 1 for v in A) for A in minimal_primes(I)]
@@ -746,3 +765,10 @@ def random_squarefree_ideal(rng, n_max=5, max_gens=5, n_exact=None):
         support = rng.sample(range(n), size)
         gens.append(tuple(1 if i in support else 0 for i in range(n)))
     return minimalize(gens, n)
+
+
+def seeded_graph(n: int, p: float) -> Graph:
+    """The graph on n vertices in which each pair, in lex order, is an edge
+    with probability p under random.Random(n)."""
+    rng = Random(n)
+    return make_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])

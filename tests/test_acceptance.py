@@ -14,7 +14,6 @@ from clutterkit import (
     enumerate_graphs_upto_iso,
     has_packing,
     incidence_matrix,
-    intersect,
     is_simis,
     make_clutter,
     make_graph,
@@ -29,6 +28,7 @@ from oracles import (
     contains_monomial,
     extend,
     extend_matrix,
+    intersect,
     prime_power_contains,
     random_clutter,
     random_squarefree_ideal,

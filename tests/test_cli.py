@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from clutterkit.cli import main
+from oracles import seeded_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,12 +69,13 @@ class TestSimis:
         assert invoke(["simis", "/nonexistent/input.json"]).exit_code == 2
 
     def test_degree_over_cap_exits_2(self):
-        # each of the 6 minimal primes has 401 generators at k = 400, so the
-        # second prime alone would test 401 * 401 generator pairs
+        # at k = 400 the fifth of the 6 minimal primes meets 80,601
+        # generators, and their candidates are charged before one is built
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
         result = invoke(["simis", "-", "-k", "400"], input=path5)
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
+        assert "counted 121681015 steps" in result.output
 
     def test_path_complement_answers_degree_forty(self):
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
@@ -88,9 +90,18 @@ class TestSimis:
         assert json.loads(result.output) == {"k": 1000, "equal": True, "witness": None}
 
     def test_symbolic_side_over_cap_exits_2(self):
-        result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])
+        # the divisibility tests of the third prime pass the step cap
+        graph = {"n": 6, "edges": [[1, 2], [1, 3], [1, 5], [1, 6], [2, 3], [2, 4], [2, 6], [3, 4], [3, 5]]}
+        result = invoke(["simis", "-", "-k", "45"], input=json.dumps(graph))
         assert result.exit_code == 2
         assert "resource cap exceeded" in result.output
+
+    def test_sixty_cubics_answer_degree_two(self):
+        result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "k": 2, "equal": False, "witness": [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1],
+        }
 
 
 class TestPacking:
@@ -164,6 +175,12 @@ class TestKoenigClassifyDecompose:
     def test_decompose_edgeless_exits_2(self):
         data = json.dumps({"n": 3, "edges": []})
         assert invoke(["decompose", "-"], input=data).exit_code == 2
+
+    def test_decompose_over_cap_exits_2(self):
+        data = json.dumps(seeded_graph(40, 0.9).to_json_dict())
+        result = invoke(["decompose", "-"], input=data)
+        assert result.exit_code == 2
+        assert "resource cap exceeded" in result.output
 
 
 class TestLp:

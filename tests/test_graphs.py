@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -15,7 +16,6 @@ from clutterkit import (
     edge_ideal,
     enumerate_graphs_upto_iso,
     has_packing,
-    intersect,
     is_simis,
     make_clutter,
     make_graph,
@@ -28,11 +28,13 @@ from oracles import (
     associated_graph,
     brute_least_mask,
     graphs_isomorphic,
+    intersect,
     isolated_vertices,
     nx_count_classes,
     nx_isomorphic,
     reference_classify_graph,
     reference_enumerate_graphs,
+    seeded_graph,
     uniformity,
 )
 
@@ -177,6 +179,37 @@ class TestPrimaryDecomposition:
             P = prime_ideal(4, A)
             check = P if check is None else intersect(check, P)
         assert check == complementary_edge_ideal(G)
+
+    def test_seeded_24_vertex_graph(self):
+        # the same 357 primes as when the check ran the intersect chain,
+        # which the oracle runs again here
+        G = seeded_graph(24, 0.5)
+        primes = primary_decomposition_cx(G)
+        listed = json.dumps([sorted(A) for A in primes]).encode()
+        assert len(primes) == 357
+        assert hashlib.sha256(listed).hexdigest() == (
+            "70911ac860b6f4ec02d0c75c5b8d8d996ef1266925c2b3774f3e8e71c174eccb"
+        )
+        check = None
+        for A in primes:
+            P = prime_ideal(24, A)
+            check = P if check is None else intersect(check, P)
+        assert check == complementary_edge_ideal(G)
+
+    def test_seeded_30_vertex_graph_in_bounded_time(self):
+        # about 0.02 s; the intersect chain took over 1 s
+        G = seeded_graph(30, 0.5)
+        start = time.perf_counter()
+        primes = primary_decomposition_cx(G)
+        assert time.perf_counter() - start < 0.5
+        assert len(primes) == 829
+
+    def test_dense_40_vertex_graph_refused(self):
+        # 7,892 primes: the check passes the chain's step cap in about 0.8 s
+        with pytest.raises(
+            ResourceLimitExceeded, match="over 7892 minimal primes at k = 1 counted .* cap of 20000000$"
+        ):
+            primary_decomposition_cx(seeded_graph(40, 0.9))
 
 
 class TestClassification:

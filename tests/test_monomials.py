@@ -12,7 +12,6 @@ from clutterkit import (
     ResourceLimitExceeded,
     edge_ideal,
     enumerate_graphs_upto_iso,
-    intersect,
     is_simis,
     make_graph,
     complementary_edge_ideal,
@@ -26,6 +25,7 @@ from oracles import (
     all_clutters_with_edges,
     brute_minimalize,
     contains_monomial,
+    intersect,
     iter_monomials,
     prime_power_contains,
     random_squarefree_ideal,
@@ -365,12 +365,12 @@ class TestIsSimis:
         I = complementary_edge_ideal(make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
         assert is_simis(I, 27) == monomials.SimisReport(27, False, (1, 1, 26, 26, 26))
         assert is_simis(I, 40) == monomials.SimisReport(40, False, (1, 1, 39, 39, 39))
-        # every prime {a, b} has C(401, 400) = 401 generators at k = 400: the
-        # unit monomial against the first, then 401 generators against the
-        # second, 401 + 401 * 401 = 161,202 pairs
+        # at k = 400 the fifth prime, {2, 5}, meets 80,601 generators whose
+        # candidates are charged 10 steps each before one is built, which
+        # takes the count past the cap at once
         with pytest.raises(
             ResourceLimitExceeded,
-            match="400-th powers of 6 minimal primes tests at least 161202 .* cap of 100000",
+            match="over 6 minimal primes at k = 400 counted 121681015 steps .* cap of 20000000$",
         ):
             is_simis(I, 400)
         # a principal ideal has one generator at every prime, whatever k is:
@@ -380,18 +380,25 @@ class TestIsSimis:
         assert symbolic_power(principal, 100_001).gens == ((100_001, 100_001),)
 
     def test_symbolic_chain_cap(self):
-        # 60 squarefree cubics on 14 variables: only 3,660 ordinary-side
-        # candidates at k = 2, but 156 minimal primes to intersect
+        # 60 squarefree cubics on 14 variables, 156 minimal primes: the chain
+        # answers at k = 2 after 811,726 steps, where the intersect chain
+        # would test 105,156 generator pairs, over the reference's own cap
         data = json.loads((DATA / "simis_60_cubics_14_vars.json").read_text())
         I = MonomialIdeal.from_json_dict(data)
-        with pytest.raises(ResourceLimitExceeded, match="156 minimal primes .* cap of 100000") as got:
-            symbolic_power(I, 2)
-        # the same predicted count, at the same prime, as the intersect chain
-        with pytest.raises(ResourceLimitExceeded) as ref:
+        report = is_simis(I, 2)
+        assert report == monomials.SimisReport(2, False, (0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1))
+        assert report == reference_is_simis(I, 2)
+        with pytest.raises(ResourceLimitExceeded, match="156 minimal primes .* cap of 100000$"):
             reference_symbolic_power(I, 2)
-        assert str(got.value) == str(ref.value)
-        with pytest.raises(ResourceLimitExceeded):
-            is_simis(I, 2)
+        # a 6-vertex graph ideal at k = 45: the third prime, {3, 6}, keeps
+        # candidates that each face a long bucket, and the divisibility tests
+        # take the count past the cap in about 1 s
+        G = make_graph(6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)])
+        with pytest.raises(
+            ResourceLimitExceeded,
+            match="over 10 minimal primes at k = 45 counted 20041943 steps .* cap of 20000000$",
+        ):
+            symbolic_power(complementary_edge_ideal(G), 45)
 
     def test_search_cap_counts_row_visits(self, monkeypatch):
         # the C4 complement ideal is equal at k = 2, and each of its nine

@@ -10,7 +10,6 @@ from clutterkit import (
     REFERENCE_GRAPHS,
     TRIVIAL,
     IncidenceMatrix,
-    ResourceLimitExceeded,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
@@ -31,6 +30,7 @@ from clutterkit import (
 )
 from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
+    REFERENCE_PAIR_CAP,
     contains_monomial,
     extend,
     random_squarefree_ideal,
@@ -155,24 +155,18 @@ def test_symbolic_power_matches_intersection_chain(instance):
     assert symbolic_power(I, k) == reference_symbolic_power(I, k)
 
 
-def _outcome(power_of, I, k):
-    try:
-        return power_of(I, k)
-    except ResourceLimitExceeded as exc:
-        return str(exc)
-
-
 # degrees on either side of each change of the packed field width
 # w = k.bit_length() + 1 (k = 2, 4, 8)
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 7, 8))
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(wide_squarefree_ideals())
 def test_packed_chain_matches_intersection_chain_up_to_nine_variables(k, I):
-    got = _outcome(symbolic_power, I, k)
-    assert got == _outcome(reference_symbolic_power, I, k)
-    if not isinstance(got, str):
-        # the premise of the field width: no exponent above k
-        assert max(max(g) for g in got.gens) <= k
+    # the chain's step cap and the reference's pair cap count different work,
+    # so the reference runs under a cap that every drawn ideal stays below
+    got = symbolic_power(I, k)
+    assert got == reference_symbolic_power(I, k, cap=10 * REFERENCE_PAIR_CAP)
+    # the premise of the field width: no exponent above k
+    assert max(max(g) for g in got.gens) <= k
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

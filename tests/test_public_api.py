@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "has_koenig",
     "has_packing",
     "incidence_matrix",
-    "intersect",
     "is_simis",
     "make_clutter",
     "make_graph",

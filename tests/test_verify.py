@@ -26,6 +26,15 @@ class TestVerifyTheorem:
         for row in report.rows:
             assert row.simis[2] == row.simis[3]
 
+    def test_six_vertex_degree_sweep(self):
+        # any single degree >= 2 is decisive for this family: every class
+        # gives its k = 2 answer at each k = 2..10
+        report = verify_theorem(6, k_list=tuple(range(2, 11)), box=0)
+        assert report.consistent
+        assert (len(report.rows), report.satisfying) == (155, 6)
+        for row in report.rows:
+            assert set(row.simis.values()) == {row.simis[2]}, row.graph
+
     def test_scan_disabled(self):
         report = verify_theorem(3, box=0)
         assert report.consistent
