@@ -269,12 +269,16 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
 
     The representative is the class's least edge bitmask (slot s of
     ``_pair_slots`` is bit s), as found by ``_least_mask``.  Classes are
-    built one edge count at a time up to half the pairs: every graph with e
-    edges is a graph with e-1 edges plus one, so each class one level down
-    gets each of its non-edges added and every result is reduced to its
-    least mask.  Non-edges whose ends lie in the same two twin classes give
-    isomorphic graphs, so one of them is tried.  The levels above the half
-    are the complements of the levels below, reduced again.  Output is
+    built by orderly generation (Read 1978) from the complete graph down, on
+    one lemma: if m is least and not the full mask, its parent p, m with its
+    lowest zero bit z set, is least too.  Proof: let a relabeling take p to
+    q < p, and let d be the highest bit where q and p differ.  Bits 0..z of
+    p are all set and q has as many bits set as p, so d > z.  m agrees with p
+    above z, so q < m, and the image of m, which is q less one bit, is
+    smaller still: m would not be least.  A child c of m, m with one bit
+    b below z cleared, has lowest zero bit b and so parent m.  Hence
+    clearing, in every least mask, each bit below its lowest zero bit and
+    keeping the least children reaches every class exactly once.  Output is
     sorted by (edge count, representative mask).
     """
     if not 1 <= n <= ENUMERATION_VERTEX_CAP:
@@ -282,25 +286,13 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
             f"enumeration supports 1 <= n <= {ENUMERATION_VERTEX_CAP}, got {n}"
         )
     slots = _pair_slots(n)
-    n_slots = len(slots)
-    levels = [[0]]
-    for _ in range(n_slots // 2):
-        found = set()
-        for mask in levels[-1]:
-            rep = _twin_representatives(_adjacency(n, mask, slots))
-            tried = set()
-            for s, (i, j) in enumerate(slots):
-                pair = (rep[i], rep[j]) if rep[i] < rep[j] else (rep[j], rep[i])
-                if mask >> s & 1 or pair in tried:
-                    continue
-                tried.add(pair)
-                found.add(_least_mask(n, mask | 1 << s, slots))
-        levels.append(sorted(found))
-    full = (1 << n_slots) - 1
-    for e in range(n_slots // 2 + 1, n_slots + 1):
-        levels.append(sorted(_least_mask(n, full ^ m, slots) for m in levels[n_slots - e]))
-
-    reps = [m for level in levels for m in level]
+    reps = [(1 << len(slots)) - 1]
+    for mask in reps:  # the list grows by the least children found so far
+        for b in range((mask ^ (mask + 1)).bit_length() - 1):
+            child = mask & ~(1 << b)
+            if _least_mask(n, child, slots) == child:
+                reps.append(child)
+    reps.sort(key=lambda m: (m.bit_count(), m))
     if require_edge:
         reps = reps[1:]
     return [_graph_from_mask(n, m, slots) for m in reps]

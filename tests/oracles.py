@@ -12,7 +12,7 @@ calls, kept as the reference for the deficit-rule symbolic power;
 ``reference_has_packing`` is the earlier packing scan that rebuilds every
 minor from H, kept as the reference for the depth-first scan;
 ``reference_enumerate_graphs`` is the earlier orbit closure over all edge
-masks, kept as the reference for the edge-count-level enumeration;
+masks, kept as the reference for the orderly enumeration;
 ``reference_is_simis`` is the earlier simis decider that builds I^k,
 kept as the reference for the membership test by packing search (which
 ``brute_psi`` pins from the LP side);
@@ -663,11 +663,11 @@ def _chunked_tables(slot_map: list[int], n_slots: int, chunk_bits: int = 8):
 def reference_enumerate_graphs(n: int, require_edge: bool = False) -> list[Graph]:
     """One representative per isomorphism class, by orbit closure.
 
-    The earlier enumerator, kept as the reference for the level-by-level
-    one: it visits all 2^C(n,2) edge masks and closes each orbit under
-    adjacent vertex transpositions (which generate the full symmetric
-    group); the representative is the orbit's minimum mask.  Output is
-    sorted by (edge count, representative mask).
+    The earlier enumerator, kept as the reference for the orderly one: it
+    visits all 2^C(n,2) edge masks and closes each orbit under adjacent
+    vertex transpositions (which generate the full symmetric group); the
+    representative is the orbit's minimum mask.  Output is sorted by (edge
+    count, representative mask).
     """
     if not 1 <= n <= ENUMERATION_VERTEX_CAP:
         raise ValueError(

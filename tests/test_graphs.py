@@ -23,6 +23,7 @@ from clutterkit import (
     minimalize,
     primary_decomposition_cx,
 )
+from clutterkit import graphs
 from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
     associated_graph,
@@ -366,6 +367,23 @@ class TestEnumerationMatchesReference:
         assert len(got) == (1043 if require_edge else 1044)
         assert representatives_sha256(got) == self.REFERENCE_N7_SHA256[require_edge]
 
+    def test_eight_vertices_with_the_cap_raised(self, monkeypatch):
+        # 12,346 classes, by edge count as in OEIS A008406; the sha256 was
+        # first taken from the edge-count-level enumerator this one replaced
+        monkeypatch.setattr(graphs, "ENUMERATION_VERTEX_CAP", 8)
+        got = enumerate_graphs_upto_iso(8)
+        assert len(got) == 12346
+        per_edge_count = [0] * 29
+        for G in got:
+            per_edge_count[len(G.edges)] += 1
+        assert per_edge_count == [
+            1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
+            1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1,
+        ]
+        assert representatives_sha256(got) == (
+            "c2d5996c57616a1dc8e3f87e0775ea1e8d61d5f5c10ac184b6fb19d5e2b1030e"
+        )
+
 
 class TestLeastMask:
     def test_matches_brute_force_minimum_up_to_five_vertices(self):
@@ -373,6 +391,15 @@ class TestLeastMask:
             slots = _pair_slots(n)
             for mask in range(1 << len(slots)):
                 assert _least_mask(n, mask, slots) == brute_least_mask(n, mask)
+
+    def test_least_parent_of_a_least_mask_is_least_up_to_five_vertices(self):
+        # the lemma orderly enumeration rests on: setting the lowest zero bit
+        # of a least mask other than the full one gives a least mask
+        for n in range(1, 6):
+            full = (1 << n * (n - 1) // 2) - 1
+            least = {m for m in range(full + 1) if brute_least_mask(n, m) == m}
+            for m in least - {full}:
+                assert m | (~m & (m + 1)) in least
 
 
 def simis_equal_for_graph(G, k):
