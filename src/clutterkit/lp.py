@@ -18,6 +18,7 @@ their columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, product
 
 from .clutters import IncidenceMatrix
@@ -44,7 +45,10 @@ def _checked_alpha(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
 def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     """Exact covering optimum and an optimal 0/1 vector x.
 
-    Brute force over x in {0,1}^n; ties break to the smallest bitmask.
+    Brute force over x in {0,1}^n in increasing bitmask order; ties break to
+    the smallest bitmask.  Each mask's cost is one add to the cost of the
+    mask without its lowest bit, and only a mask cheaper than the best cover
+    so far is tested against the rows.
     """
     alpha = _checked_alpha(M, alpha)
     n = M.cols
@@ -53,17 +57,21 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     if n > PHI_COLUMN_CAP:
         raise ResourceLimitExceeded(f"covering brute force capped at {PHI_COLUMN_CAP} columns")
     row_masks = M.row_masks()
-    best = None
-    best_mask = 0
     # Not minimal_cover_masks: this independent search re-checks gap scan hits.
-    for mask in range(1 << n):
-        if any(not mask & rm for rm in row_masks):
-            continue
-        cost = sum(alpha[j] for j in range(n) if mask >> j & 1)
-        if best is None or cost < best:
-            best = cost
-            best_mask = mask
-    assert best is not None  # the all-ones x is feasible (no zero rows)
+    # above the cost of the all-ones x, a cover (no zero rows), so one is found
+    best = sum(alpha) + 1
+    best_mask = 0
+    cost = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        value = cost[mask] = cost[mask ^ low] + alpha[low.bit_length() - 1]
+        if value < best:
+            for rm in row_masks:
+                if not mask & rm:
+                    break
+            else:
+                best = value
+                best_mask = mask
     return best, tuple(best_mask >> j & 1 for j in range(n))
 
 
@@ -110,6 +118,18 @@ def solve_lp(M: IncidenceMatrix, alpha) -> LpReport:
     return LpReport(phi_value, psi_value, x_opt, y_opt)
 
 
+@lru_cache(maxsize=4)
+def _positive_masks(n: int, box: int) -> tuple[int, ...]:
+    """The mask of the positive entries of every alpha in {0..box}^n, in the
+    lexicographic order of ``product(range(box + 1), repeat=n)``."""
+    values = list(range(1 << n))  # one int object per mask, shared by every entry
+    masks = [0]
+    for j in range(n):
+        bit = 1 << j
+        masks = [values[m | bit] if d else m for m in masks for d in range(box + 1)]
+    return tuple(masks)
+
+
 def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], LpReport] | None:
     """First alpha in {0..box}^n (lexicographic) with phi > psi, or None.
 
@@ -117,45 +137,67 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
     comes from a dynamic program over the objectives seen so far: every
     alpha - row is lexicographically earlier than alpha, so its value is
     already in the flat table, at alpha's mixed-radix index minus the row's
-    stride offset.  phi is the least alpha-weight of a minimal cover (from
-    :func:`~clutterkit.monomials.minimal_cover_masks`, computed once); an
-    objective has a gap only if every cover weighs more than psi, so the
+    stride offset.  The rows that fit under alpha are the rows whose support
+    lies inside alpha's positive mask P, so a row table lists, for each P,
+    the offsets of the rows that fit; it is built by enumerating the
+    supersets of each row's support (2^(zero columns) entries per row), and
+    psi is one more than the best psi at alpha - row over those rows.
+
+    An objective that no row fits has no gap and is passed over: psi = 0
+    there, and phi = 0 too, because every row then has a column where alpha
+    is 0, so the zero set of alpha is a cover of weight 0.  Every other
+    objective compares psi with the alpha-weights of the minimal covers
+    (from :func:`~clutterkit.monomials.minimal_cover_masks`, computed
+    once); it has a gap only if every cover weighs more than psi, so the
     cover loop stops at the first that does not.  A found witness is
     re-solved with the standalone phi/psi as a cross-check.
+
+    Refused up front when the two tables would hold more than
+    ``SCAN_STATE_CAP`` entries: (box+1)^n psi values plus the row table.
     """
     if box < 1:
         raise ValueError(f"scan box must be >= 1, got {box}")
     _checked_alpha(M, (0,) * M.cols)
     n = M.cols
-    if n * (box + 1) ** n > SCAN_STATE_CAP:
+    objectives = (box + 1) ** n
+    row_entries = sum(1 << (n - sum(row)) for row in M.data)
+    if objectives + row_entries > SCAN_STATE_CAP:
         raise ResourceLimitExceeded(
-            f"scan over {(box + 1) ** n} objectives ({n * (box + 1) ** n} DP entries) "
-            f"exceeds the state cap of {SCAN_STATE_CAP}"
+            f"scan over {objectives} objectives ({objectives + row_entries} table "
+            f"entries) exceeds the state cap of {SCAN_STATE_CAP}"
         )
     if M.rows == 0:
         return None
 
+    row_masks = M.row_masks()
     cover_indices = [
         tuple(j for j in range(n) if mask >> j & 1)
-        for mask in minimal_cover_masks(M.row_masks(), n)
+        for mask in minimal_cover_masks(row_masks, n)
     ]
-    bits = [1 << j for j in range(n)]
     strides = [(box + 1) ** (n - 1 - j) for j in range(n)]
-    # (support mask, index offset of alpha - row) per row
-    rows = [
-        (sum(compress(bits, row)), sum(compress(strides, row))) for row in M.data
-    ]
+    full = (1 << n) - 1
+    # positive mask -> index offsets of alpha - row for the rows that fit
+    fitting: dict[int, list[int]] = {}
+    for support, row in zip(row_masks, M.data):
+        offset = sum(compress(strides, row))
+        zeros = full ^ support
+        extra = zeros
+        while True:
+            fitting.setdefault(support | extra, []).append(offset)
+            if not extra:
+                break
+            extra = (extra - 1) & zeros
 
     packing_best: list[int] = []
-    for index, alpha in enumerate(product(range(box + 1), repeat=n)):
-        positive = sum(compress(bits, alpha))
-        best = 0
-        for support, offset in rows:
-            if support & positive == support:
-                value = packing_best[index - offset] + 1
-                if value > best:
-                    best = value
-        packing_best.append(best)
+    append = packing_best.append
+    scan = zip(_positive_masks(n, box), product(range(box + 1), repeat=n))
+    for index, (positive, alpha) in enumerate(scan):
+        offsets = fitting.get(positive)
+        if offsets is None:
+            append(0)
+            continue
+        best = max([packing_best[index - o] for o in offsets]) + 1
+        append(best)
         entry = alpha.__getitem__
         for idx in cover_indices:
             if sum(map(entry, idx)) <= best:

@@ -6,7 +6,10 @@ box enumeration instead of pruned search, networkx instead of the
 hand-rolled canonical forms.  ``canonical_form`` is the earlier matrix
 canonizer (a minimum over all column permutations), now used only by the
 references below.  ``reference_gap_scan`` is the earlier
-full-table duality-gap scan, kept as the reference for the one-pass scan;
+full-table duality-gap scan, kept as the reference for the one-pass scan
+(with its own state cap, in its own unit); ``reference_phi`` is the earlier
+covering brute force that sums every mask's cost afresh, kept as the
+reference for the incremental one;
 ``reference_symbolic_power`` is the earlier chain of generic ``intersect``
 calls, kept as the reference for the deficit-rule symbolic power;
 ``reference_has_packing`` is the earlier packing scan that rebuilds every
@@ -77,7 +80,7 @@ from clutterkit.graphs import (
     _graph_from_mask,
     _pair_slots,
 )
-from clutterkit.lp import SCAN_STATE_CAP, _checked_alpha
+from clutterkit.lp import PHI_COLUMN_CAP, _checked_alpha
 from clutterkit.monomials import (
     PrimeSupport,
     SimisReport,
@@ -91,6 +94,9 @@ from clutterkit.monomials import (
 # The references' own budget, in their own unit: generator pairs for
 # reference_symbolic_power, candidate monomials of I^k for reference_is_simis.
 REFERENCE_PAIR_CAP = 100_000
+
+# reference_gap_scan's budget: n * (box+1)^n entries of its tuple-keyed table.
+REFERENCE_SCAN_STATE_CAP = 5_000_000
 
 
 def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
@@ -495,6 +501,32 @@ def reference_has_packing(H: Clutter) -> PackingReport:
     return PackingReport(True)
 
 
+def reference_phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
+    """Exact covering optimum and an optimal 0/1 vector x.
+
+    Brute force over x in {0,1}^n that sums each mask's cost afresh and
+    tests every mask against the rows; ties break to the smallest bitmask.
+    """
+    alpha = _checked_alpha(M, alpha)
+    n = M.cols
+    if M.rows == 0:
+        return 0, (0,) * n
+    if n > PHI_COLUMN_CAP:
+        raise ResourceLimitExceeded(f"covering brute force capped at {PHI_COLUMN_CAP} columns")
+    row_masks = M.row_masks()
+    best = None
+    best_mask = 0
+    for mask in range(1 << n):
+        if any(not mask & rm for rm in row_masks):
+            continue
+        cost = sum(alpha[j] for j in range(n) if mask >> j & 1)
+        if best is None or cost < best:
+            best = cost
+            best_mask = mask
+    assert best is not None  # the all-ones x is feasible (no zero rows)
+    return best, tuple(best_mask >> j & 1 for j in range(n))
+
+
 def brute_phi(M: IncidenceMatrix, alpha, cap=1):
     """Covering optimum over the wider box x in {0..cap}^n."""
     best = None
@@ -540,10 +572,10 @@ def reference_gap_scan(M: IncidenceMatrix, box: int):
         raise ValueError(f"scan box must be >= 1, got {box}")
     _checked_alpha(M, (0,) * M.cols)
     n = M.cols
-    if n * (box + 1) ** n > SCAN_STATE_CAP:
+    if n * (box + 1) ** n > REFERENCE_SCAN_STATE_CAP:
         raise ResourceLimitExceeded(
             f"scan over {(box + 1) ** n} objectives ({n * (box + 1) ** n} DP entries) "
-            f"exceeds the state cap of {SCAN_STATE_CAP}"
+            f"exceeds the state cap of {REFERENCE_SCAN_STATE_CAP}"
         )
     if M.rows == 0:
         return None

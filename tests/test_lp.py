@@ -1,7 +1,10 @@
 """Covering/packing programs, gap scans, and the structural no-gap test."""
 
+import hashlib
+import json
 from itertools import combinations, product
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -29,10 +32,14 @@ from oracles import (
     extend_matrix,
     random_clutter,
     reference_gap_scan,
+    reference_phi,
     reference_structural_mfmc_check,
 )
 
 DATA = Path(__file__).parent / "data"
+
+# sha256 of the JSON list of [alpha, report] (or null) per n = 7 class, box 2
+WITNESS_N7_SHA256 = "b243afc1484e7d9021e6fe04eb7358808dcc1abc7b069cd8d7a848259a122909"
 
 # Seeded random nonzero 0/1 rows (random.Random(1) and (2), one
 # random.choice("01") per entry), generated once.
@@ -130,6 +137,14 @@ class TestPhi:
     def test_dimension_error(self):
         with pytest.raises(DimensionMismatch):
             phi(identity3(), (1, 1))
+
+    @pytest.mark.parametrize("n, box", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 1)])
+    def test_matches_reference_phi(self, n, box):
+        # value and tie-broken vector, at every objective of the box
+        for H in all_clutters_with_edges(n):
+            M = incidence_matrix(H)
+            for alpha in product(range(box + 1), repeat=n):
+                assert phi(M, alpha) == reference_phi(M, alpha), (M, alpha)
 
     def test_binary_restriction_is_lossless(self, rng):
         # brute force over the wider box {0,1,2}^n never beats {0,1}^n
@@ -239,9 +254,34 @@ class TestDualityGapSearch:
             duality_gap_search(triangle_matrix(), 0)
 
     def test_state_cap(self):
-        # 4 * 201^4 DP entries are far above the cap: refused before any work
-        with pytest.raises(ResourceLimitExceeded, match="state cap of 5000000"):
+        # 201^4 psi values plus 3 * 2^2 row table entries are far above the
+        # cap: refused before any work
+        with pytest.raises(
+            ResourceLimitExceeded,
+            match=r"scan over 1632240801 objectives \(1632240813 table entries\) "
+            r"exceeds the state cap of 5000000",
+        ):
             duality_gap_search(triangle_matrix(), 200)
+
+    def test_state_cap_counts_the_row_table(self):
+        # every pair of 18 columns at box 1: 2^18 psi values, but the row
+        # table holds 153 * 2^16 entries, so it is refused up front
+        pairs = [[int(j in p) for j in range(18)] for p in combinations(range(18), 2)]
+        with pytest.raises(ResourceLimitExceeded, match="10289152 table entries"):
+            duality_gap_search(IncidenceMatrix.from_rows(pairs, 18), 1)
+        # one full row of 12 columns at box 2: 3^12 + 1 entries are admitted
+        assert duality_gap_search(IncidenceMatrix.from_rows([(1,) * 12], 12), 2) is None
+
+    def test_witnesses_of_every_seven_vertex_class(self):
+        # the lex-first witness (or None) of every (n-2)-uniform class at
+        # n = 7, box 2, hashed; the digest was taken from the scan that
+        # tested every row against every objective
+        hits = []
+        for G in enumerate_graphs_upto_iso(7, require_edge=True):
+            hit = duality_gap_search(incidence_matrix(clutter_of_graph(G)), 2)
+            hits.append(None if hit is None else [list(hit[0]), hit[1].to_json_dict()])
+        assert sum(hit is not None for hit in hits) == 1037
+        assert hashlib.sha256(json.dumps(hits).encode()).hexdigest() == WITNESS_N7_SHA256
 
     def test_scan_agrees_with_standalone_solvers(self, rng):
         # re-solve every objective of a small scan along the slow route
@@ -277,6 +317,23 @@ class TestReferenceGapScan:
         for G in enumerate_graphs_upto_iso(n, require_edge=True):
             M = incidence_matrix(clutter_of_graph(G))
             assert duality_gap_search(M, 2) == reference_gap_scan(M, 2)
+
+    @pytest.mark.parametrize("box", [1, 2])
+    def test_sparse_rows(self, box):
+        # rows of support 1 or 2 on up to 8 columns: 2^(n-1) or 2^(n-2)
+        # row table entries per row, the table's largest share
+        rng = Random(24 + box)
+        for _ in range(25):
+            n = rng.randint(2, 8)
+            rows = [
+                [int(j in support) for j in range(n)]
+                for support in (
+                    rng.sample(range(n), rng.randint(1, 2))
+                    for _ in range(rng.randint(1, 10))
+                )
+            ]
+            M = IncidenceMatrix.from_rows(rows, n)
+            assert duality_gap_search(M, box) == reference_gap_scan(M, box), M
 
 
 class TestStructuralCheck:

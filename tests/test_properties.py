@@ -149,6 +149,15 @@ def test_gap_scan_matches_reference_and_phi_bounds_psi(instance):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
+@given(scan_instances())
+def test_psi_is_zero_iff_phi_is_zero(instance):
+    # the gap scan passes over every objective that no row fits (psi = 0)
+    # on the premise that phi = 0 there too
+    M, _, alpha = instance
+    assert (psi(M, alpha)[0] == 0) == (phi(M, alpha)[0] == 0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.one_of(squarefree_ideals(), graph_ideals()))
 def test_symbolic_power_matches_intersection_chain(instance):
     I, k = instance
