@@ -37,17 +37,6 @@ def _mask_of(vertices, n: int) -> int:
     return mask
 
 
-def _vertices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def _minimal_masks(masks) -> list[int]:
     """Inclusion-minimal elements of a set of bitmasks."""
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -66,7 +55,8 @@ class Clutter:
     edges: tuple[int, ...]
 
     def edge_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_vertices_of(e) for e in self.edges)
+        vertices = range(1, self.n + 1)
+        return tuple(tuple(v for v in vertices if e >> (v - 1) & 1) for e in self.edges)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edge_vertex_sets()]}
@@ -91,9 +81,7 @@ def make_clutter(n: int, edges) -> Clutter:
 
 def edge_ideal(H: Clutter) -> MonomialIdeal:
     """Squarefree ideal with one generator per edge; edgeless gives the zero ideal."""
-    gens = []
-    for e in H.edges:
-        gens.append(tuple(e >> i & 1 for i in range(H.n)))
+    gens = (tuple(e >> i & 1 for i in range(H.n)) for e in H.edges)
     return MonomialIdeal(H.n, tuple(sorted(gens)))
 
 

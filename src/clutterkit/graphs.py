@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .clutters import Clutter, make_clutter
-from .monomials import MonomialIdeal, PrimeSupport, _symbolic_power, minimalize
+from .clutters import Clutter, edge_ideal
+from .monomials import MonomialIdeal, PrimeSupport, _symbolic_power
 
 ENUMERATION_VERTEX_CAP = 7
 
@@ -30,23 +30,6 @@ class Graph:
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {v for edge in self.edges for v in edge}
         return tuple(v for v in range(1, self.n + 1) if v not in touched)
-
-    def complement(self) -> "Graph":
-        present = set(self.edges)
-        comp = tuple(
-            (a, b)
-            for a, b in combinations(range(1, self.n + 1), 2)
-            if (a, b) not in present
-        )
-        return Graph(self.n, comp)
-
-    def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        present = set(self.edges)
-        return tuple(
-            (a, b, c)
-            for a, b, c in combinations(range(1, self.n + 1), 3)
-            if (a, b) in present and (a, c) in present and (b, c) in present
-        )
 
     def strip_isolated(self) -> tuple["Graph", int]:
         """Graph induced on the non-isolated vertices (compact relabeling)."""
@@ -102,52 +85,55 @@ class GraphClass:
 
 
 def complementary_edge_ideal(G: Graph) -> MonomialIdeal:
-    """Ideal with one generator per edge e: the product of all variables off e.
+    """Ideal with one generator per edge e, the product of all variables off
+    e: ``edge_ideal(clutter_of_graph(G))``.
 
     An edgeless graph gives the zero ideal.  Graphs on fewer than three
     vertices with an edge are rejected (the complement of the edge would be
     empty, i.e. the unit monomial).
     """
-    if G.edges and G.n < 3:
+    if not G.edges:
+        return MonomialIdeal.zero(G.n)
+    if G.n < 3:
         raise ValueError(
             "complementary edge ideal needs at least 3 vertices when edges exist"
         )
-    gens = []
-    for a, b in G.edges:
-        gens.append(tuple(0 if v in (a, b) else 1 for v in range(1, G.n + 1)))
-    return minimalize(gens, G.n)
+    return edge_ideal(clutter_of_graph(G))
 
 
 def clutter_of_graph(G: Graph) -> Clutter:
-    """The (n-2)-uniform clutter whose edges are the complements of G's edges."""
+    """The (n-2)-uniform clutter whose edges are the complements of G's edges.
+
+    A Graph comes from ``make_graph`` (which ``Graph.from_json_dict`` calls)
+    or from the enumerator, and each gives distinct pairs a < b in 1..n.
+    Their complements are distinct sets of n - 2 vertices, so they already
+    form an antichain and are only sorted here.
+    """
     if G.n < 3:
         raise ValueError("clutter_of_graph requires at least 3 vertices")
     if not G.edges:
         raise ValueError("clutter_of_graph requires at least one edge")
-    vertex_set = set(range(1, G.n + 1))
-    return make_clutter(G.n, [vertex_set - {a, b} for a, b in G.edges])
+    full = (1 << G.n) - 1
+    return Clutter(G.n, tuple(sorted(full ^ (1 << a - 1) ^ (1 << b - 1) for a, b in G.edges)))
 
 
 def primary_decomposition_cx(G: Graph) -> tuple[PrimeSupport, ...]:
     """Minimal primes of the complementary edge ideal, combinatorially.
 
-    Union of singletons at isolated vertices, non-edges of G (edges of the
-    complement), and vertex triples inducing triangles; pairs that contain
-    an isolated vertex are absorbed by the singleton below them.  The
-    intersection of the result is checked against the ideal itself, on the
-    chain that builds symbolic powers, run at k = 1 under its step cap
-    (ResourceLimitExceeded past it).
+    Union of singletons at isolated vertices and, among the vertices on an
+    edge, the non-edges of G (edges of the complement) and the triples
+    inducing triangles; a pair that contains an isolated vertex is absorbed
+    by the singleton below it.  The intersection of the result is checked
+    against the ideal itself, on the chain that builds symbolic powers, run
+    at k = 1 under its step cap (ResourceLimitExceeded past it).
     """
     if not G.edges:
         raise ValueError("primary decomposition requires at least one edge")
-    isolated = set(G.isolated_vertices())
-    parts: list[frozenset[int]] = [frozenset([v]) for v in sorted(isolated)]
-    for a, b in G.complement().edges:
-        if a in isolated or b in isolated:
-            continue
-        parts.append(frozenset([a, b]))
-    for t in G.triangles():
-        parts.append(frozenset(t))
+    present = set(G.edges)
+    touched = sorted({v for edge in G.edges for v in edge})
+    parts = [frozenset([v]) for v in G.isolated_vertices()]
+    parts += [frozenset(e) for e in combinations(touched, 2) if e not in present]
+    parts += [frozenset(t) for t in combinations(touched, 3) if present >= set(combinations(t, 2))]
     parts.sort(key=lambda A: (len(A), sorted(A)))
 
     ideal = complementary_edge_ideal(G)
@@ -281,9 +267,9 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
     keeping the least children reaches every class exactly once.  Output is
     sorted by (edge count, representative mask).
     """
-    if not 1 <= n <= ENUMERATION_VERTEX_CAP:
+    if type(n) is not int or not 1 <= n <= ENUMERATION_VERTEX_CAP:
         raise ValueError(
-            f"enumeration supports 1 <= n <= {ENUMERATION_VERTEX_CAP}, got {n}"
+            f"enumeration supports 1 <= n <= {ENUMERATION_VERTEX_CAP}, got {n!r}"
         )
     slots = _pair_slots(n)
     reps = [(1 << len(slots)) - 1]

@@ -155,8 +155,8 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
     Refused up front when the two tables would hold more than
     ``SCAN_STATE_CAP`` entries: (box+1)^n psi values plus the row table.
     """
-    if box < 1:
-        raise ValueError(f"scan box must be >= 1, got {box}")
+    if type(box) is not int or box < 1:
+        raise ValueError(f"scan box must be >= 1, got {box!r}")
     _checked_alpha(M, (0,) * M.cols)
     n = M.cols
     objectives = (box + 1) ** n

@@ -108,19 +108,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
-        n = data["n"]
-        if type(n) is not int or n < 0:
-            raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
-        gens = []
-        for g in data["gens"]:
-            if len(g) != n:
-                raise DimensionMismatch(
-                    f"exponent vector {g!r} has length {len(g)}, expected {n}"
-                )
-            if any(type(e) is not int or e < 0 for e in g):
-                raise ValueError(f"exponents must be nonnegative integers: {g!r}")
-            gens.append(tuple(g))
-        return minimalize(gens, n)
+        return minimalize(data["gens"], data["n"])
 
 
 def _check_same_n(I: MonomialIdeal, J: MonomialIdeal) -> None:
@@ -129,16 +117,20 @@ def _check_same_n(I: MonomialIdeal, J: MonomialIdeal) -> None:
 
 
 def minimalize(gens, n: int) -> MonomialIdeal:
-    """Canonical ideal generated by `gens`: the divisibility antichain."""
-    gens = [tuple(g) for g in gens]
+    """Canonical ideal generated by `gens`: the divisibility antichain.
+
+    The one check of an ideal's input: n is an int >= 0, every vector has
+    length n, and every exponent is an int >= 0 (a bool is not).
+    """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
+    gens = list(gens)
     for g in gens:
         if len(g) != n:
-            raise DimensionMismatch(
-                f"exponent vector of length {len(g)} in a {n}-variable ring"
-            )
-        if any(e < 0 for e in g):
-            raise ValueError(f"negative exponent in {g!r}")
-    return MonomialIdeal(n, minimal_generators(gens))
+            raise DimensionMismatch(f"exponent vector {g!r} has length {len(g)}, expected {n}")
+        if any(type(e) is not int or e < 0 for e in g):
+            raise ValueError(f"exponents must be nonnegative integers: {g!r}")
+    return MonomialIdeal(n, minimal_generators(map(tuple, gens)))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -152,8 +144,8 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th ordinary power by repeated multiplication, minimalizing each step."""
-    if k < 1:
-        raise ValueError(f"power requires k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"power requires k >= 1, got {k!r}")
     result = I
     for _ in range(k - 1):
         result = multiply(result, I)
@@ -226,8 +218,8 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     when sum_A(g) >= k.  Refused once the chain's own count of steps passes
     SYMBOLIC_STEP_CAP (see :func:`_symbolic_power`).
     """
-    if k < 1:
-        raise ValueError(f"symbolic_power requires k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"symbolic_power requires k >= 1, got {k!r}")
     _require_proper_squarefree(I, "symbolic_power")
     return _symbolic_power(I, k, minimal_primes(I))
 
@@ -357,8 +349,8 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     Raises if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """
-    if k < 1:
-        raise ValueError(f"is_simis requires k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"is_simis requires k >= 1, got {k!r}")
     if I.is_zero or I.is_unit:
         return SimisReport(k, True)
     if not I.is_squarefree:

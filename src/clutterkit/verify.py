@@ -134,16 +134,17 @@ def verify_theorem(n: int, k_list: tuple[int, ...] = (2, 3), box: int = 2) -> Th
 
     `box` = 0 disables the duality-gap scan; any k in `k_list` must be >= 1.
     """
-    if not VERIFY_MIN_N <= n <= VERIFY_MAX_N:
+    if type(n) is not int or not VERIFY_MIN_N <= n <= VERIFY_MAX_N:
         raise ValueError(
-            f"verify_theorem supports {VERIFY_MIN_N} <= n <= {VERIFY_MAX_N}, got {n}"
+            f"verify_theorem supports {VERIFY_MIN_N} <= n <= {VERIFY_MAX_N}, got {n!r}"
         )
     if not k_list:
         raise ValueError("k_list must not be empty")
-    if min(k_list) < 1:
-        raise ValueError(f"k_list entries must be >= 1, got {min(k_list)}")
-    if box < 0:
-        raise ValueError(f"box must be >= 0, got {box}")
+    for k in k_list:
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k_list entries must be >= 1, got {k!r}")
+    if type(box) is not int or box < 0:
+        raise ValueError(f"box must be >= 0, got {box!r}")
     k_list = tuple(sorted(set(k_list)))
 
     rows = []

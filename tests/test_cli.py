@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from clutterkit.cli import main
+from clutterkit.graphs import enumerate_graphs_upto_iso
 from oracles import seeded_graph
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +267,7 @@ class TestInputBoundary:
         (["simis", "-"], {"n": 2, "gens": [[True, 0]]}),
         (["lp", "-", "--structural"], {"rows": 1, "cols": 3, "data": [[True, 0, 0]]}),
         (["lp", "-", "--structural"], {"rows": 0, "cols": -3, "data": []}),
+        (["simis", "-"], {"n": 2, "gens": [[1.0, 0]]}),
     ])
     def test_ill_typed_numbers_exit_2(self, args, payload):
         result = invoke(args, input=json.dumps(payload))
@@ -370,3 +372,20 @@ class TestOutputStability:
         result = invoke(["--csv", "verify-theorem", "-n", "5"])
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.CSV_SHA256
+
+    # sha256 of the exit code and stdout of simis -k 2, simis -k 3, decompose
+    # and classify on every graph class with n = 1..5, edgeless ones included,
+    # taken when the complementary edge ideal was still built by minimalizing
+    # the products off each edge
+    GRAPH_FORM_SHA256 = "c55f01f780cd2b12863f1121112a35662d5cd2a86d6b5b26dd45ea33ed8e0438"
+
+    def test_graph_form_request_bytes(self):
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for G in enumerate_graphs_upto_iso(n):
+                data = json.dumps(G.to_json_dict())
+                for args in (["simis", "-", "-k", "2"], ["simis", "-", "-k", "3"],
+                             ["decompose", "-"], ["classify", "-"]):
+                    result = invoke(args, input=data)
+                    digest.update(f"{result.exit_code}\n{result.stdout}".encode())
+        assert digest.hexdigest() == self.GRAPH_FORM_SHA256

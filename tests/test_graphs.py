@@ -28,6 +28,7 @@ from clutterkit.graphs import _least_mask, _pair_slots
 from oracles import (
     associated_graph,
     brute_least_mask,
+    brute_minimalize,
     graphs_isomorphic,
     intersect,
     isolated_vertices,
@@ -117,9 +118,17 @@ class TestGraphClutterCorrespondence:
             assert associated_graph(clutter_of_graph(G)) == G
 
     def test_edge_ideal_equals_complementary_ideal(self):
-        for n in (3, 4, 5):
-            for G in enumerate_graphs_upto_iso(n, require_edge=True):
-                assert edge_ideal(clutter_of_graph(G)) == complementary_edge_ideal(G)
+        # the one builder against the products off each edge, minimalized by
+        # brute force, and against the complements sent through make_clutter
+        edgeless = [make_graph(n, []) for n in range(3)]
+        for G in edgeless + [G for n in range(3, 7) for G in enumerate_graphs_upto_iso(n)]:
+            vertices = range(1, G.n + 1)
+            products = [tuple(int(v not in e) for v in vertices) for e in G.edges]
+            ideal = complementary_edge_ideal(G)
+            assert (ideal.n, ideal.gens) == (G.n, brute_minimalize(products))
+            if G.edges:
+                complements = [set(vertices) - set(e) for e in G.edges]
+                assert clutter_of_graph(G) == make_clutter(G.n, complements)
 
     def test_rejects_small_or_edgeless(self):
         with pytest.raises(ValueError):

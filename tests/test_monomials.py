@@ -76,6 +76,20 @@ class TestMinimalize:
         with pytest.raises(ValueError):
             minimalize([(1, -1)], 2)
 
+    @pytest.mark.parametrize("gens, n", [
+        ([(1.5, 0)], 2),
+        ([(True, False)], 2),
+        ([], -1),
+        ([], True),
+    ], ids=["float-exponent", "bool-exponents", "negative-n", "bool-n"])
+    def test_ill_typed_input_rejected(self, gens, n):
+        with pytest.raises(ValueError):
+            minimalize(gens, n)
+
+    def test_wrong_length_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"\(1, 0, 0\) has length 3, expected 2"):
+            minimalize([(1, 0, 0)], 2)
+
     def test_idempotent_on_randoms(self, rng):
         for _ in range(200):
             n = rng.randint(1, 5)
