@@ -172,14 +172,9 @@ def _parse_matrix(text: str) -> IncidenceMatrix:
     lines = [line.strip() for line in stripped.splitlines() if line.strip()]
     if not lines:
         raise click.UsageError("dense matrix input is empty")
-    rows = []
-    for line in lines:
-        if set(line) - {"0", "1"}:
-            raise click.UsageError(f"dense matrix rows must be 0/1 strings: {line!r}")
-        rows.append(tuple(int(c) for c in line))
-    if len({len(r) for r in rows}) != 1:
-        raise click.UsageError("dense matrix rows have unequal lengths")
-    return IncidenceMatrix.from_rows(rows, len(rows[0]))
+    # the digits are read inside _from_json, so a non-digit is an input error too
+    data = [map(int, line) for line in lines]
+    return _from_json(IncidenceMatrix, {"rows": len(lines), "cols": len(lines[0]), "data": data})
 
 
 @main.command()

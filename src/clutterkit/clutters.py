@@ -49,10 +49,23 @@ def _minimal_masks(masks) -> list[int]:
 
 @dataclass(frozen=True)
 class Clutter:
-    """n vertices plus an inclusion-antichain of nonempty edges (bitmasks)."""
+    """n vertices plus an inclusion-antichain of nonempty edges (bitmasks).
+
+    Construction checks that n is an int >= 0 and that the masks are
+    strictly increasing ints 0 < e < 2^n; the antichain is make_clutter's.
+    """
 
     n: int
     edges: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {self.n!r}")
+        previous = 0
+        for e in self.edges:
+            if type(e) is not int or e <= previous or e.bit_length() > self.n:
+                raise ValueError(f"edge mask {e!r} is not above {previous} and within 1..{self.n}")
+            previous = e
 
     def edge_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
         vertices = range(1, self.n + 1)
@@ -67,22 +80,18 @@ class Clutter:
 
 
 def make_clutter(n: int, edges) -> Clutter:
-    """Build a clutter: rejects empty edges, keeps only inclusion-minimal ones."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
-    masks = []
-    for edge in edges:
-        mask = _mask_of(edge, n)
-        if mask == 0:
-            raise ValueError("empty edge is not allowed in a clutter")
-        masks.append(mask)
-    return Clutter(n, tuple(sorted(_minimal_masks(masks))))
+    """Build a clutter from vertex lists, keeping the inclusion-minimal edges."""
+    return Clutter(n, tuple(sorted(_minimal_masks(_mask_of(edge, n) for edge in edges))))
+
+
+def _bit_vector(mask: int, n: int) -> tuple[int, ...]:
+    """Bits 0..n-1 of mask, from its binary digits: linear in n, not quadratic."""
+    return tuple(map(int, bin(mask)[:1:-1].ljust(n, "0")))
 
 
 def edge_ideal(H: Clutter) -> MonomialIdeal:
     """Squarefree ideal with one generator per edge; edgeless gives the zero ideal."""
-    gens = (tuple(e >> i & 1 for i in range(H.n)) for e in H.edges)
-    return MonomialIdeal(H.n, tuple(sorted(gens)))
+    return MonomialIdeal(H.n, tuple(sorted(_bit_vector(e, H.n) for e in H.edges)))
 
 
 def matching_number(H: Clutter) -> int:
@@ -295,6 +304,8 @@ class IncidenceMatrix:
                 )
             if any(type(x) is not int or x not in (0, 1) for x in row):
                 raise ValueError(f"matrix entries must be the integers 0/1: {row!r}")
+            if 1 not in row:
+                raise ValueError("zero row is not an edge")
 
     def row_masks(self) -> tuple[int, ...]:
         return tuple(
@@ -315,8 +326,5 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(H: Clutter) -> IncidenceMatrix:
-    data = tuple(
-        tuple(e >> j & 1 for j in range(H.n)) for e in H.edges
-    )
-    return IncidenceMatrix(len(H.edges), H.n, data)
+    return IncidenceMatrix(len(H.edges), H.n, tuple(_bit_vector(e, H.n) for e in H.edges))
 

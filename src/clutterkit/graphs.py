@@ -22,10 +22,22 @@ ENUMERATION_VERTEX_CAP = 7
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: vertex count plus sorted tuple of edges (a, b), a < b."""
+    """Simple graph: an int n >= 0 plus strictly increasing int pairs (a, b),
+    1 <= a < b <= n, as checked on construction."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {self.n!r}")
+        previous = (0, 0)
+        for edge in self.edges:
+            if type(edge) is not tuple or tuple(map(type, edge)) != (int, int):
+                raise ValueError(f"edge must be a pair of integers: {edge!r}")
+            if not (previous < edge and 1 <= edge[0] < edge[1] <= self.n):
+                raise ValueError(f"edge {edge} is not a pair a < b in 1..{self.n} past {previous}")
+            previous = edge
 
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {v for edge in self.edges for v in edge}
@@ -47,17 +59,11 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+    """Build a graph from vertex pairs in either orientation, without repeats."""
     normalized = set()
-    for edge in edges:
-        a, b = edge
-        if type(a) is not int or type(b) is not int:
-            raise ValueError(f"edge vertices must be integers: {edge!r}")
+    for a, b in edges:
         if a == b:
             raise ValueError(f"loop at vertex {a} is not allowed")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"edge {(a, b)} out of range 1..{n}")
         normalized.add((min(a, b), max(a, b)))
     return Graph(n, tuple(sorted(normalized)))
 
@@ -86,31 +92,17 @@ class GraphClass:
 
 def complementary_edge_ideal(G: Graph) -> MonomialIdeal:
     """Ideal with one generator per edge e, the product of all variables off
-    e: ``edge_ideal(clutter_of_graph(G))``.
-
-    An edgeless graph gives the zero ideal.  Graphs on fewer than three
-    vertices with an edge are rejected (the complement of the edge would be
-    empty, i.e. the unit monomial).
-    """
+    e: ``edge_ideal(clutter_of_graph(G))``, or the zero ideal without edges."""
     if not G.edges:
         return MonomialIdeal.zero(G.n)
-    if G.n < 3:
-        raise ValueError(
-            "complementary edge ideal needs at least 3 vertices when edges exist"
-        )
     return edge_ideal(clutter_of_graph(G))
 
 
 def clutter_of_graph(G: Graph) -> Clutter:
     """The (n-2)-uniform clutter whose edges are the complements of G's edges.
 
-    A Graph comes from ``make_graph`` (which ``Graph.from_json_dict`` calls)
-    or from the enumerator, and each gives distinct pairs a < b in 1..n.
-    Their complements are distinct sets of n - 2 vertices, so they already
-    form an antichain and are only sorted here.
+    On fewer than 3 vertices a complement is empty, and `Clutter` rejects it.
     """
-    if G.n < 3:
-        raise ValueError("clutter_of_graph requires at least 3 vertices")
     if not G.edges:
         raise ValueError("clutter_of_graph requires at least one edge")
     full = (1 << G.n) - 1

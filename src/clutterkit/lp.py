@@ -37,8 +37,6 @@ def _checked_alpha(M: IncidenceMatrix, alpha) -> tuple[int, ...]:
         )
     if any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError(f"objective must be nonnegative integers: {alpha!r}")
-    if any(not any(row) for row in M.data):
-        raise ValueError("zero row makes the covering constraints infeasible")
     return alpha
 
 
@@ -157,7 +155,6 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
     """
     if type(box) is not int or box < 1:
         raise ValueError(f"scan box must be >= 1, got {box!r}")
-    _checked_alpha(M, (0,) * M.cols)
     n = M.cols
     objectives = (box + 1) ** n
     row_entries = sum(1 << (n - sum(row)) for row in M.data)
@@ -220,9 +217,9 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
     """True iff M is, up to independent row and column permutations, the
     clutter matrix of one of the six reference graphs plus isolated vertices.
 
-    Requires every row sum to equal cols-2 and the rows to be distinct and
-    nonzero (M is then the incidence matrix of an (n-2)-uniform clutter,
-    whose equal-size edges are automatically an antichain).  This is the
+    Requires every row sum to equal cols-2 and distinct rows.  M, whose rows
+    are nonzero, is then the incidence matrix of an (n-2)-uniform clutter
+    (equal-size edges are automatically an antichain).  This is the
     theorem-exact predicate for "no duality gap at any objective"; the
     bounded alpha scan is the falsification tool.
 
@@ -247,8 +244,6 @@ def structural_mfmc_check(M: IncidenceMatrix) -> bool:
             raise ValueError(
                 f"row sum {sum(row)} differs from cols-2 = {n - 2}: {row!r}"
             )
-        if not any(row):
-            raise ValueError("zero row is not an edge")
     if len(set(M.data)) != M.rows:
         raise ValueError("rows must be pairwise distinct")
     touched = [M.rows - ones for ones in map(sum, zip(*M.data)) if ones < M.rows]

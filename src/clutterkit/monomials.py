@@ -76,12 +76,18 @@ class MonomialIdeal:
     """Monomial ideal in n variables, held by its minimal generating set.
 
     The empty generator tuple is the zero ideal; the single unit monomial
-    is the unit ideal.  Construct through :func:`minimalize` (or the
-    operations below) so the antichain/sort invariants hold.
+    is the unit ideal.  Construction checks the exponent vectors and their
+    strictly increasing lex order; the antichain is :func:`minimalize`'s.
     """
 
     n: int
     gens: tuple[Monomial, ...]
+
+    def __post_init__(self):
+        _check_exponent_vectors(self.gens, self.n)
+        for g, h in zip(self.gens, self.gens[1:]):
+            if g >= h:
+                raise ValueError(f"generators not strictly lex-increasing: {g!r} before {h!r}")
 
     @property
     def is_zero(self) -> bool:
@@ -116,21 +122,24 @@ def _check_same_n(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise DimensionMismatch(f"ideals live in {I.n} and {J.n} variables")
 
 
-def minimalize(gens, n: int) -> MonomialIdeal:
-    """Canonical ideal generated by `gens`: the divisibility antichain.
-
-    The one check of an ideal's input: n is an int >= 0, every vector has
-    length n, and every exponent is an int >= 0 (a bool is not).
-    """
+def _check_exponent_vectors(gens, n: int) -> None:
+    """n is an int >= 0; each vector a tuple of n ints >= 0 (not bools)."""
     if type(n) is not int or n < 0:
         raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
-    gens = list(gens)
     for g in gens:
+        if type(g) is not tuple:
+            raise ValueError(f"exponent vector {g!r} is not a tuple")
         if len(g) != n:
             raise DimensionMismatch(f"exponent vector {g!r} has length {len(g)}, expected {n}")
         if any(type(e) is not int or e < 0 for e in g):
             raise ValueError(f"exponents must be nonnegative integers: {g!r}")
-    return MonomialIdeal(n, minimal_generators(map(tuple, gens)))
+
+
+def minimalize(gens, n: int) -> MonomialIdeal:
+    """Canonical ideal generated by `gens`: the divisibility antichain."""
+    gens = [tuple(g) for g in gens]
+    _check_exponent_vectors(gens, n)
+    return MonomialIdeal(n, minimal_generators(gens))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -274,6 +274,18 @@ class TestInputBoundary:
         assert result.exit_code == 2
         assert "invalid input" in result.output
 
+    @pytest.mark.parametrize("args, dense", [
+        (["lp", "-", "--structural"], "10\n1\n"),
+        (["lp", "-", "--structural"], "10\n2\n"),
+        (["lp", "-", "--structural"], "10\nx1\n"),
+        (["lp", "-", "--alpha", "1,1"], "00\n11\n"),
+    ], ids=["ragged-rows", "entry-2", "non-digit", "zero-row"])
+    def test_bad_dense_matrix_is_invalid_input(self, args, dense):
+        result = invoke(args, input=dense)
+        assert result.exit_code == 2
+        assert "invalid input" in result.output
+        assert result.stdout == ""
+
     def test_library_type_error_is_not_an_input_error(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
             raise TypeError("library bug")

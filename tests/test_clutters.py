@@ -23,7 +23,7 @@ from clutterkit import (
 )
 from clutterkit import clutters as clutters_module
 from clutterkit import monomials
-from clutterkit.clutters import IncidenceMatrix
+from clutterkit.clutters import Clutter, IncidenceMatrix
 from oracles import (
     all_clutters_with_edges,
     brute_cover_number,
@@ -82,6 +82,30 @@ class TestMakeClutter:
         assert len(H.edges) == 1
 
 
+class TestClutterInvariants:
+    """A Clutter checks its own rules, so one built directly is checked too."""
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, (0,)),
+        (2, (3, 1)),
+        (2, (4,)),
+        (2, (1, 1)),
+        (2, (True,)),
+        (2, (-1,)),
+        (True, ()),
+    ], ids=["empty-edge", "unsorted", "vertex-above-n", "repeat", "bool-edge",
+            "negative-mask", "bool-n"])
+    def test_direct_construction_is_checked(self, n, edges):
+        with pytest.raises(ValueError):
+            Clutter(n, edges)
+
+    def test_a_huge_vertex_count_is_checked_without_a_huge_mask(self):
+        H = make_clutter(10**12, [[1]])
+        assert H.edges == (1,)
+        with pytest.raises(ResourceLimitExceeded):
+            has_packing(H)
+
+
 class TestEdgeIdeal:
     def test_single_edge(self):
         assert edge_ideal(make_clutter(2, [(1, 2)])).gens == ((1, 1),)
@@ -92,6 +116,14 @@ class TestEdgeIdeal:
     def test_triangle(self):
         got = edge_ideal(triangle_on_234())
         assert got.gens == ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
+
+    def test_vectors_are_the_bits_of_each_mask(self):
+        # edge_ideal and incidence_matrix against one shift per bit
+        for n in range(1, 9):
+            for e in range(1, 1 << n):
+                expected = tuple(e >> i & 1 for i in range(n))
+                assert edge_ideal(Clutter(n, (e,))).gens == (expected,)
+                assert incidence_matrix(Clutter(n, (e,))).data == (expected,)
 
 
 class TestMatchingCover:
@@ -207,7 +239,6 @@ class TestCanonicalFormKernel:
     def test_zero_rows_or_columns(self):
         assert canonical_form(IncidenceMatrix.from_rows([], 8)) == ()
         assert canonical_form(IncidenceMatrix.from_rows([], 0)) == ()
-        assert canonical_form(IncidenceMatrix.from_rows([(), ()], 0)) == ((), ())
 
     def test_column_cap(self):
         M = incidence_matrix(make_clutter(9, [(1, 2)]))
@@ -455,6 +486,15 @@ class TestIncidenceMatrix:
                 IncidenceMatrix.from_rows(rows, 2)
         with pytest.raises(ValueError):
             IncidenceMatrix(True, 2, ((0, 1),))
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([(0, 0)], 2),
+        ([(1, 1), (0, 0)], 2),
+        ([(), ()], 0),
+    ])
+    def test_rejects_zero_row(self, rows, cols):
+        with pytest.raises(ValueError, match="zero row"):
+            IncidenceMatrix.from_rows(rows, cols)
 
 
 class TestClutterJson:

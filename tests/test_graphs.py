@@ -76,6 +76,30 @@ class TestMakeGraph:
         assert make_graph(3, [(3, 1)]).edges == ((1, 3),)
 
 
+class TestGraphInvariants:
+    """A Graph checks its own rules, so one built directly is checked too."""
+
+    @pytest.mark.parametrize("n, edges", [
+        (4, ((2, 1), (2, 1))),
+        (3, ((1, 4),)),
+        (True, ()),
+        (4, ((1, 2), (1, 2))),
+        (4, ((1, 3), (1, 2))),
+        (4, ([1, 2],)),
+        (4, ((1.0, 2),)),
+        (4, ((0, 1),)),
+        (-1, ()),
+    ], ids=["reversed-repeat", "out-of-range", "bool-n", "repeat", "unsorted",
+            "list-edge", "float-vertex", "vertex-0", "negative-n"])
+    def test_direct_construction_is_checked(self, n, edges):
+        with pytest.raises(ValueError):
+            Graph(n, edges)
+
+    def test_clutter_of_a_graph_with_a_repeated_edge_is_refused(self):
+        with pytest.raises(ValueError):
+            clutter_of_graph(Graph(4, ((2, 1), (2, 1))))
+
+
 class TestComplementaryEdgeIdeal:
     def test_path_on_three(self):
         got = complementary_edge_ideal(make_graph(3, [(1, 2), (2, 3)]))

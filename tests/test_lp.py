@@ -130,9 +130,8 @@ class TestPhi:
         )
 
     def test_zero_row_rejected(self):
-        M = IncidenceMatrix.from_rows([(0, 0)], 2)
         with pytest.raises(ValueError):
-            phi(M, (1, 1))
+            phi(IncidenceMatrix.from_rows([(0, 0)], 2), (1, 1))
 
     def test_dimension_error(self):
         with pytest.raises(DimensionMismatch):

@@ -81,7 +81,9 @@ class TestMinimalize:
         ([(True, False)], 2),
         ([], -1),
         ([], True),
-    ], ids=["float-exponent", "bool-exponents", "negative-n", "bool-n"])
+        ([(1, 0), (2.5, 0)], 2),
+    ], ids=["float-exponent", "bool-exponents", "negative-n", "bool-n",
+            "dominated-float-exponent"])
     def test_ill_typed_input_rejected(self, gens, n):
         with pytest.raises(ValueError):
             minimalize(gens, n)
@@ -89,6 +91,9 @@ class TestMinimalize:
     def test_wrong_length_is_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"\(1, 0, 0\) has length 3, expected 2"):
             minimalize([(1, 0, 0)], 2)
+        # (1, 0) divides the long vector on the first two places: checked anyway
+        with pytest.raises(DimensionMismatch):
+            minimalize([(1, 0), (1, 1, 0)], 2)
 
     def test_idempotent_on_randoms(self, rng):
         for _ in range(200):
@@ -100,6 +105,29 @@ class TestMinimalize:
             once = minimalize(gens, n)
             assert minimalize(once.gens, n) == once
             assert once.gens == brute_minimalize(gens)
+
+
+class TestIdealInvariants:
+    """A MonomialIdeal checks its own rules, so one built directly is checked too."""
+
+    @pytest.mark.parametrize("n, gens", [
+        (2, ((1, 0), (0, 1))),
+        (2, ((0, 1), (0, 1))),
+        (2, ((True, 0),)),
+        (2, ((1.0, 0),)),
+        (2, ((-1, 0),)),
+        (2, ([0, 1],)),
+        (-1, ()),
+        (True, ()),
+    ], ids=["not-lex-sorted", "repeat", "bool-exponent", "float-exponent",
+            "negative-exponent", "list-generator", "negative-n", "bool-n"])
+    def test_direct_construction_is_checked(self, n, gens):
+        with pytest.raises(ValueError):
+            MonomialIdeal(n, gens)
+
+    def test_wrong_length_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            MonomialIdeal(2, ((1,),))
 
 
 class TestMultiplyPower:
