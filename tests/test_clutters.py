@@ -121,9 +121,10 @@ class TestEdgeIdeal:
         # edge_ideal and incidence_matrix against one shift per bit
         for n in range(1, 9):
             for e in range(1, 1 << n):
+                H = Clutter(n, (e,))
                 expected = tuple(e >> i & 1 for i in range(n))
-                assert edge_ideal(Clutter(n, (e,))).gens == (expected,)
-                assert incidence_matrix(Clutter(n, (e,))).data == (expected,)
+                assert edge_ideal(H).gens == (expected,)
+                assert incidence_matrix(H).data == (expected,)
 
 
 class TestMatchingCover:
