@@ -325,6 +325,126 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
     )
 
 
+def _symbolic_generators(n: int, k: int, primes):
+    """Yield the minimal generators of the intersection of the P_A^k over
+    `primes`, the minimal primes of an ideal in n variables, in lex order:
+    the generators of :func:`_symbolic_power`, one at a time.
+
+    Write a(A) for the exponents of a monomial summed over A.  m lies in
+    every P_A^k iff a(A) >= k for every A.  Such an m is minimal iff every
+    variable with a positive exponent lies in a tight prime, one with
+    a(A) = k: lowering x_i by one keeps m in every P_A^k iff every A that
+    holds x_i has a(A) > k.
+
+    The search sets x1, ..., xn in turn, depth first, trying each exponent
+    in ascending order, so the leaves come in lex order.  With a(A) summed
+    over the variables set so far, it keeps four rules:
+
+    * Lower bound: x_i is at least k - a(A) for every A whose last variable
+      is x_i.  No later variable adds to a(A), so a smaller x_i leaves the
+      monomial outside P_A^k for good.  So every leaf lies in every P_A^k.
+    * Upper bound: a positive x_i is at most the largest k - a(A) over the A
+      that hold x_i.  A larger x_i puts every such A over k, sums never go
+      down, so x_i could never lie in a tight prime.
+    * Cut: a branch ends as soon as some earlier positive x_j has every one
+      of its primes over k, for the same reason.
+    * Leaf: at x_n every a(A) is final and at least k, and the upper bound
+      and the cut leave each positive variable a prime with a(A) <= k, which
+      is then tight.  So every leaf is minimal.  Every prime that holds x_n
+      ends there, so its lower and upper bounds agree: x_n takes one value.
+
+    A generator breaks no rule, so none is lost.  The upper bound and the
+    cut are one test as x_i goes up: x_i stops at the first value that
+    leaves a positive x_j, j <= i (x_i included), with every prime over k,
+    as every larger value would too.  Only x_i and the variables of a prime
+    that has just passed k need the test.
+
+    The search counts its own steps against SYMBOLIC_STEP_CAP: one per read
+    or update of a prime's sum, each batch added before its work and the
+    total checked at every node.  A principal ideal makes one node per
+    variable, whatever k is.
+    """
+    primes_of: list[list[int]] = [[] for _ in range(n)]  # the primes holding each variable
+    last_of: list[list[int]] = [[] for _ in range(n)]  # the primes whose last variable it is
+    holds = []  # each prime's variables as a mask
+    for p, A in enumerate(primes):
+        for v in A:
+            primes_of[v - 1].append(p)
+        last_of[max(A) - 1].append(p)
+        holds.append(sum(1 << (v - 1) for v in A))
+    sums = [0] * len(primes)
+    x = [0] * n
+    steps = 0
+
+    def lift(i: int, e: int) -> bool:
+        """Raise x_i by e; False iff some positive x_j, j <= i, then has
+        every prime over k.  Only x_i and the variables of a prime that
+        passes k here can be such an x_j."""
+        nonlocal steps
+        mine = primes_of[i]
+        steps += len(mine)
+        passed = 0
+        for p in mine:
+            s = sums[p]
+            sums[p] = s + e
+            if s <= k < s + e:
+                passed |= holds[p]
+        x[i] += e
+        if not x[i]:
+            return True
+        passed = (passed | 1 << i) & ((2 << i) - 1)
+        while passed:
+            j = passed.bit_length() - 1
+            passed ^= 1 << j
+            if x[j]:
+                steps += len(primes_of[j])
+                for p in primes_of[j]:
+                    if sums[p] <= k:
+                        break
+                else:
+                    return False
+        return True
+
+    def drop(i: int) -> None:
+        """Set x_i back to 0."""
+        nonlocal steps
+        e = x[i]
+        mine = primes_of[i]
+        steps += len(mine)
+        for p in mine:
+            sums[p] -= e
+        x[i] = 0
+
+    i = 0
+    while True:
+        # node: x[:i] is set and sums holds its a(A); x[i:] is all 0
+        steps += len(last_of[i])
+        if steps > SYMBOLIC_STEP_CAP:
+            break
+        if lift(i, max([0] + [k - sums[p] for p in last_of[i]])):
+            if i < n - 1:
+                i += 1
+                continue
+            # every prime that holds x_n ends there, so x_n has one value
+            yield tuple(x)
+        # backtrack to the deepest variable that can still go up by one:
+        # a branch cut at x_i stays cut for every larger x_i, as sums only grow
+        drop(i)
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            if lift(i, 1):
+                i += 1
+                break
+            drop(i)
+    raise ResourceLimitExceeded(
+        f"the symbolic-generator search over {len(primes)} minimal primes at k = {k} "
+        f"counted {steps} steps (reads and updates of a prime's sum), above the cap "
+        f"of {SYMBOLIC_STEP_CAP}"
+    )
+
+
 @dataclass(frozen=True)
 class SimisReport:
     """Outcome of comparing the k-th symbolic and ordinary powers.
@@ -349,12 +469,13 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     """Decide whether the k-th symbolic and ordinary powers of I coincide.
 
     A squarefree I has I^k inside I^(k), so only the generators of the
-    symbolic power need testing, in lex order.  g lies in I^k iff k
+    symbolic power need testing, in lex order.  They come one at a time from
+    :func:`_symbolic_generators`, and the first that I^k misses ends the
+    call, so I^(k) is built only up to its witness.  g lies in I^k iff k
     generators of I pack under its exponents (psi_g >= k for I's incidence
     matrix), asked of one :class:`_Packing` whose cap covers the call.  The
-    symbolic power's cap counts the chain's own steps, not degrees, so a
-    principal ideal answers at any k.  Zero and unit ideals trivially report
-    equal.
+    generator search's cap counts its own steps, not degrees, so a principal
+    ideal answers at any k.  Zero and unit ideals trivially report equal.
     Raises if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
     """
@@ -375,7 +496,7 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
                     f"prime {sorted(A)}"
                 )
     packing = _Packing(tuple(j for j, e in enumerate(g) if e) for g in I.gens)
-    for g in _symbolic_power(I, k, primes).gens:  # lex order: the first miss is the witness
+    for g in _symbolic_generators(I.n, k, primes):  # lex order: the first miss is the witness
         if packing.search(g, k)[0] < k:
             return SimisReport(k, False, g)
     return SimisReport(k, True)

@@ -70,13 +70,21 @@ class TestSimis:
         assert invoke(["simis", "/nonexistent/input.json"]).exit_code == 2
 
     def test_degree_over_cap_exits_2(self):
-        # at k = 400 the fifth of the 6 minimal primes meets 80,601
-        # generators, and their candidates are charged before one is built
+        # the C4 complement ideal is equal at every k, so simis tests every
+        # generator of I^(2000), and those tests pass the packing search's
+        # cap of row visits
+        c4 = json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+        result = invoke(["simis", "-", "-k", "2000"], input=c4)
+        assert result.exit_code == 2
+        assert "resource cap exceeded: packing search made" in result.output
+
+    def test_path_complement_answers_degree_four_hundred(self):
+        # symbolic_power refuses to build all of I^(400); simis stops at the
+        # witness, its third symbolic generator in lex order
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
         result = invoke(["simis", "-", "-k", "400"], input=path5)
-        assert result.exit_code == 2
-        assert "resource cap exceeded" in result.output
-        assert "counted 121681015 steps" in result.output
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": 400, "equal": False, "witness": [1, 1, 399, 399, 399]}
 
     def test_path_complement_answers_degree_forty(self):
         path5 = json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
@@ -91,11 +99,21 @@ class TestSimis:
         assert json.loads(result.output) == {"k": 1000, "equal": True, "witness": None}
 
     def test_symbolic_side_over_cap_exits_2(self):
-        # the divisibility tests of the third prime pass the step cap
+        # the 2K2 complement ideal (x2x3, x1x4) is equal at every k, and at
+        # k = 1,000 the search for its symbolic generators passes its own
+        # step cap in branches that end without one
+        two_k2 = json.dumps({"n": 4, "edges": [[1, 4], [2, 3]]})
+        result = invoke(["simis", "-", "-k", "1000"], input=two_k2)
+        assert result.exit_code == 2
+        assert "the symbolic-generator search over 4 minimal primes at k = 1000" in result.output
+
+    def test_six_vertex_graph_answers_degree_forty_five(self):
+        # symbolic_power refuses to build all of I^(45); simis stops at the
+        # witness
         graph = {"n": 6, "edges": [[1, 2], [1, 3], [1, 5], [1, 6], [2, 3], [2, 4], [2, 6], [3, 4], [3, 5]]}
         result = invoke(["simis", "-", "-k", "45"], input=json.dumps(graph))
-        assert result.exit_code == 2
-        assert "resource cap exceeded" in result.output
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"k": 45, "equal": False, "witness": [0, 1, 44, 45, 44, 44]}
 
     def test_sixty_cubics_answer_degree_two(self):
         result = invoke(["simis", str(DATA / "simis_60_cubics_14_vars.json"), "-k", "2"])

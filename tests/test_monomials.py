@@ -8,6 +8,7 @@ import pytest
 from clutterkit import monomials
 from clutterkit import (
     DimensionMismatch,
+    IncidenceMatrix,
     MonomialIdeal,
     ResourceLimitExceeded,
     edge_ideal,
@@ -24,6 +25,7 @@ from clutterkit import (
 from oracles import (
     all_clutters_with_edges,
     brute_minimalize,
+    brute_psi,
     contains_monomial,
     intersect,
     iter_monomials,
@@ -407,19 +409,35 @@ class TestIsSimis:
         I = complementary_edge_ideal(make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
         assert is_simis(I, 27) == monomials.SimisReport(27, False, (1, 1, 26, 26, 26))
         assert is_simis(I, 40) == monomials.SimisReport(40, False, (1, 1, 39, 39, 39))
-        # at k = 400 the fifth prime, {2, 5}, meets 80,601 generators whose
-        # candidates are charged 10 steps each before one is built, which
-        # takes the count past the cap at once
+        # nor is I^(k) built past its witness, so k = 400 answers too
+        assert is_simis(I, 400) == monomials.SimisReport(400, False, (1, 1, 399, 399, 399))
+        # while the whole of I^(400) is refused: at the fifth prime, {2, 5},
+        # the chain meets 80,601 generators whose candidates are charged 10
+        # steps each before one is built, which takes the count past the cap
         with pytest.raises(
             ResourceLimitExceeded,
             match="over 6 minimal primes at k = 400 counted 121681015 steps .* cap of 20000000$",
         ):
-            is_simis(I, 400)
+            symbolic_power(I, 400)
         # a principal ideal has one generator at every prime, whatever k is:
         # the packed exponent holds k itself, and nothing of size k is built
         principal = minimalize([(1, 1)], 2)
         assert is_simis(principal, 10**9) == monomials.SimisReport(10**9, True)
         assert symbolic_power(principal, 100_001).gens == ((100_001, 100_001),)
+
+    @pytest.mark.parametrize("edges, k, witness", [
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], 400, (1, 1, 399, 399, 399)),
+        ([(1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)], 45,
+         (0, 1, 44, 45, 44, 44)),
+    ])
+    def test_high_degree_witnesses_check_independently(self, edges, k, witness):
+        # the two witnesses whose symbolic powers the chain refuses to build:
+        # each lies in P_A^k for every minimal prime A, and k generators of I
+        # never pack under it (psi by box enumeration)
+        I = complementary_edge_ideal(make_graph(len(witness), edges))
+        assert is_simis(I, k) == monomials.SimisReport(k, False, witness)
+        assert all(prime_power_contains(A, k, witness) for A in minimal_primes(I))
+        assert brute_psi(IncidenceMatrix.from_rows(I.gens, I.n), witness)[0] == k - 1
 
     def test_symbolic_chain_cap(self):
         # 60 squarefree cubics on 14 variables, 156 minimal primes: the chain
@@ -442,6 +460,21 @@ class TestIsSimis:
         ):
             symbolic_power(complementary_edge_ideal(G), 45)
 
+    def test_generator_search_cap_counts_its_steps(self, monkeypatch):
+        # (x1x2, x1x3) is equal at every k, so is_simis walks all of I^(k),
+        # x1^k x2^a x3^(k-a) for a = 0, 1, ...: the search reads and updates
+        # prime sums 7 times up to the first generator and 6 more up to each
+        # next one, so a cap of 20 lets three through and the count passes it
+        # at the node that would give the fourth
+        I = minimalize([(1, 1, 0), (1, 0, 1)], 3)
+        monkeypatch.setattr(monomials, "SYMBOLIC_STEP_CAP", 20)
+        with pytest.raises(
+            ResourceLimitExceeded,
+            match=r"^the symbolic-generator search over 2 minimal primes at k = 1000 counted "
+                  r"23 steps \(reads and updates of a prime's sum\), above the cap of 20$",
+        ):
+            is_simis(I, 1000)
+
     def test_search_cap_counts_row_visits(self, monkeypatch):
         # the C4 complement ideal is equal at k = 2, and each of its nine
         # symbolic generators packs after 7 row visits: the searches of one
@@ -460,10 +493,10 @@ class TestIsSimis:
         assert is_simis(I, 1000) == monomials.SimisReport(1000, True)
 
     def test_matches_reference_on_every_small_clutter(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             for H in all_clutters_with_edges(n):
                 I = edge_ideal(H)
-                for k in (2, 3, 4):
+                for k in (2, 3, 4) if n < 5 else (2, 3):
                     assert is_simis(I, k) == reference_is_simis(I, k), (H, k)
 
     def test_matches_reference_on_six_vertex_classes(self):
@@ -471,7 +504,7 @@ class TestIsSimis:
         assert len(graphs) == 155
         for G in graphs:
             I = complementary_edge_ideal(G)
-            for k in (2, 3):
+            for k in (2, 3, 4, 5):
                 assert is_simis(I, k) == reference_is_simis(I, k), (G, k)
 
     def test_matches_reference_on_benchmark_pool(self):
@@ -497,6 +530,29 @@ class TestIsSimis:
                     assert P == S
                 else:
                     assert report.witness == min(misses)
+
+
+class TestSymbolicGenerators:
+    """is_simis walks I^(k) by a search of its own; the chain builds it whole."""
+
+    @staticmethod
+    def check(I, ks):
+        primes = minimal_primes(I)
+        for k in ks:
+            stream = list(monomials._symbolic_generators(I.n, k, primes))
+            assert stream == list(monomials._symbolic_power(I, k, primes).gens), k
+
+    def test_stream_is_the_chain_on_every_clutter_up_to_five_vertices(self):
+        count = 0
+        for n in range(1, 6):
+            for H in all_clutters_with_edges(n):
+                self.check(edge_ideal(H), (1, 2, 3))
+                count += 1
+        assert count == 7768
+
+    def test_stream_is_the_chain_on_six_vertex_classes(self):
+        for G in enumerate_graphs_upto_iso(6, require_edge=True):
+            self.check(complementary_edge_ideal(G), (2, 3, 4, 5))
 
 
 class TestJsonRoundtrip:

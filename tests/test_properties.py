@@ -29,6 +29,7 @@ from clutterkit import (
     symbolic_power,
 )
 from clutterkit.graphs import _least_mask, _pair_slots
+from clutterkit.monomials import _symbolic_generators
 from oracles import (
     REFERENCE_PAIR_CAP,
     contains_monomial,
@@ -176,6 +177,17 @@ def test_packed_chain_matches_intersection_chain_up_to_nine_variables(k, I):
     assert got == reference_symbolic_power(I, k, cap=10 * REFERENCE_PAIR_CAP)
     # the premise of the field width: no exponent above k
     assert max(max(g) for g in got.gens) <= k
+
+
+# is_simis reads I^(k) from this search and stops at the first generator
+# outside I^k, which is the lex-first witness only if the stream is in order
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(squarefree_ideals(), graph_ideals()))
+def test_symbolic_generator_stream_is_lex_increasing_and_matches_intersection_chain(instance):
+    I, k = instance
+    stream = list(_symbolic_generators(I.n, k, minimal_primes(I)))
+    assert all(g < h for g, h in zip(stream, stream[1:]))
+    assert stream == list(reference_symbolic_power(I, k).gens)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
