@@ -9,8 +9,10 @@ so equal ideals have identical representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, ResourceLimitExceeded
 
@@ -100,6 +102,30 @@ class MonomialIdeal:
     @property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for g in self.gens for e in g)
+
+    @cached_property
+    def _simis_parts(self) -> tuple[_PrimeIndex, tuple[tuple[int, ...], ...]]:
+        """What :func:`is_simis` needs of a proper squarefree ideal at every k,
+        built on first use and kept: the index of its minimal primes, once
+        every generator is checked to meet each of them, and the supports of
+        its generators, the packing rows.  When :func:`minimal_primes` or
+        that check raises, nothing is kept.
+        """
+        primes = minimal_primes(self)
+        index = _prime_index(self.n, primes)
+        gen_masks = [_support_mask(g) for g in self.gens]
+        for A, prime_mask in zip(primes, index.holds):
+            for g, mask in zip(self.gens, gen_masks):
+                if not mask & prime_mask:
+                    raise RuntimeError(
+                        f"internal invariant violated: generator {g} misses the minimal "
+                        f"prime {sorted(A)}"
+                    )
+        return index, tuple(tuple(j for j, e in enumerate(g) if e) for g in self.gens)
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that what is cached stays out of a pickle
+        return type(self), (self.n, self.gens)
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -325,10 +351,33 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
     )
 
 
-def _symbolic_generators(n: int, k: int, primes):
+class _PrimeIndex(NamedTuple):
+    """The minimal primes of an ideal in n variables, indexed by variable for
+    :func:`_symbolic_generators`, each prime by its position."""
+
+    primes_of: tuple[tuple[int, ...], ...]  # the primes holding each variable
+    last_of: tuple[tuple[int, ...], ...]  # the primes whose last variable it is
+    holds: tuple[int, ...]  # each prime's variables as a mask
+
+
+def _prime_index(n: int, primes) -> _PrimeIndex:
+    primes_of: list[list[int]] = [[] for _ in range(n)]
+    last_of: list[list[int]] = [[] for _ in range(n)]
+    for p, A in enumerate(primes):
+        for v in A:
+            primes_of[v - 1].append(p)
+        last_of[max(A) - 1].append(p)
+    return _PrimeIndex(
+        tuple(map(tuple, primes_of)),
+        tuple(map(tuple, last_of)),
+        tuple(sum(1 << (v - 1) for v in A) for A in primes),
+    )
+
+
+def _symbolic_generators(k: int, index: _PrimeIndex):
     """Yield the minimal generators of the intersection of the P_A^k over
-    `primes`, the minimal primes of an ideal in n variables, in lex order:
-    the generators of :func:`_symbolic_power`, one at a time.
+    the minimal primes of an ideal that `index` indexes, in lex order: the
+    generators of :func:`_symbolic_power`, one at a time.
 
     Write a(A) for the exponents of a monomial summed over A.  m lies in
     every P_A^k iff a(A) >= k for every A.  Such an m is minimal iff every
@@ -364,15 +413,9 @@ def _symbolic_generators(n: int, k: int, primes):
     total checked at every node.  A principal ideal makes one node per
     variable, whatever k is.
     """
-    primes_of: list[list[int]] = [[] for _ in range(n)]  # the primes holding each variable
-    last_of: list[list[int]] = [[] for _ in range(n)]  # the primes whose last variable it is
-    holds = []  # each prime's variables as a mask
-    for p, A in enumerate(primes):
-        for v in A:
-            primes_of[v - 1].append(p)
-        last_of[max(A) - 1].append(p)
-        holds.append(sum(1 << (v - 1) for v in A))
-    sums = [0] * len(primes)
+    primes_of, last_of, holds = index
+    n = len(primes_of)
+    sums = [0] * len(holds)
     x = [0] * n
     steps = 0
 
@@ -439,7 +482,7 @@ def _symbolic_generators(n: int, k: int, primes):
                 break
             drop(i)
     raise ResourceLimitExceeded(
-        f"the symbolic-generator search over {len(primes)} minimal primes at k = {k} "
+        f"the symbolic-generator search over {len(holds)} minimal primes at k = {k} "
         f"counted {steps} steps (reads and updates of a prime's sum), above the cap "
         f"of {SYMBOLIC_STEP_CAP}"
     )
@@ -478,6 +521,12 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     ideal answers at any k.  Zero and unit ideals trivially report equal.
     Raises if a generator of I misses a minimal prime (that would falsify the
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
+
+    What does not depend on k is computed once per ideal object and kept on
+    it (``MonomialIdeal._simis_parts``): the minimal primes with that check,
+    the search's index of them by variable, and the packing rows.  Each call
+    still builds its own :class:`_Packing` and runs its own search, so both
+    caps count per call.
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"is_simis requires k >= 1, got {k!r}")
@@ -485,18 +534,9 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
-    primes = minimal_primes(I)
-    gen_masks = [_support_mask(g) for g in I.gens]
-    for A in primes:
-        prime_mask = sum(1 << (v - 1) for v in A)
-        for g, mask in zip(I.gens, gen_masks):
-            if not mask & prime_mask:
-                raise RuntimeError(
-                    f"internal invariant violated: generator {g} misses the minimal "
-                    f"prime {sorted(A)}"
-                )
-    packing = _Packing(tuple(j for j, e in enumerate(g) if e) for g in I.gens)
-    for g in _symbolic_generators(I.n, k, primes):  # lex order: the first miss is the witness
+    index, supports = I._simis_parts
+    packing = _Packing(supports)
+    for g in _symbolic_generators(k, index):  # lex order: the first miss is the witness
         if packing.search(g, k)[0] < k:
             return SimisReport(k, False, g)
     return SimisReport(k, True)

@@ -1,6 +1,9 @@
 """Monomial ideal arithmetic: pinned golden values plus brute-force properties."""
 
+import dataclasses
 import json
+import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -492,20 +495,89 @@ class TestIsSimis:
         I = minimalize([(1, 1, 0), (1, 0, 1)], 3)
         assert is_simis(I, 1000) == monomials.SimisReport(1000, True)
 
+    @staticmethod
+    def check_one_object(I, ks, reference_ks):
+        """Ask is_simis of one object at each k in ks, in turn: with what it
+        keeps on the object, every report must equal a fresh equal object's,
+        and the reference's at each k in reference_ks."""
+        shared = [is_simis(I, k) for k in ks]
+        fresh = {k: is_simis(MonomialIdeal(I.n, I.gens), k) for k in ks}
+        assert shared == [fresh[k] for k in ks]
+        for k in reference_ks:
+            assert fresh[k] == reference_is_simis(I, k), k
+
     def test_matches_reference_on_every_small_clutter(self):
+        # at n = 5 the reference runs at k = 2, 3 only: at k = 5 it takes 10 s
         for n in range(1, 6):
+            if n < 5:
+                ks, reference_ks = (2, 3, 5, 1, 2, 4), (1, 2, 3, 4, 5)
+            else:
+                ks, reference_ks = (2, 3, 5, 1, 2), (2, 3)
             for H in all_clutters_with_edges(n):
-                I = edge_ideal(H)
-                for k in (2, 3, 4) if n < 5 else (2, 3):
-                    assert is_simis(I, k) == reference_is_simis(I, k), (H, k)
+                self.check_one_object(edge_ideal(H), ks, reference_ks)
 
     def test_matches_reference_on_six_vertex_classes(self):
         graphs = enumerate_graphs_upto_iso(6, require_edge=True)
         assert len(graphs) == 155
         for G in graphs:
-            I = complementary_edge_ideal(G)
-            for k in (2, 3, 4, 5):
-                assert is_simis(I, k) == reference_is_simis(I, k), (G, k)
+            self.check_one_object(complementary_edge_ideal(G), (2, 3, 5, 1, 2, 4), (1, 2, 3, 4, 5))
+
+    @pytest.mark.parametrize("edges, k, message", [
+        # equal at every k, so all of I^(k) is walked: the C4 complement
+        # passes the packing search's cap, the 2K2 complement the
+        # generator search's
+        ([(1, 2), (2, 3), (3, 4), (1, 4)], 2000,
+         "packing search made 2000001 row visits (a count, not a prediction), above the cap "
+         "of 2000000"),
+        ([(1, 4), (2, 3)], 1000,
+         "the symbolic-generator search over 4 minimal primes at k = 1000 counted 20000009 "
+         "steps (reads and updates of a prime's sum), above the cap of 20000000"),
+    ], ids=["packing-cap", "search-cap"])
+    def test_caps_count_per_call_on_one_object(self, edges, k, message):
+        # the second call on the object counts from zero again, and a later
+        # one at a small k answers as on a fresh object
+        I = complementary_edge_ideal(make_graph(4, edges))
+        for _ in range(2):
+            with pytest.raises(ResourceLimitExceeded, match=f"^{re.escape(message)}$"):
+                is_simis(I, k)
+        for small in (2, 3):
+            assert is_simis(I, small) == is_simis(MonomialIdeal(I.n, I.gens), small)
+
+    def test_nothing_is_kept_before_the_checks_pass(self):
+        for I in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
+            assert is_simis(I, 2) == monomials.SimisReport(2, True)
+            assert "_simis_parts" not in vars(I)
+        I = minimalize([(2, 0), (0, 1)], 2)
+        with pytest.raises(ValueError, match="squarefree"):
+            is_simis(I, 2)
+        assert "_simis_parts" not in vars(I)
+        I = star_complement_ideal()
+        with pytest.raises(ValueError, match="k >= 1"):
+            is_simis(I, 0)
+        assert "_simis_parts" not in vars(I)
+        # a failed build keeps nothing, and the next call fails the same way
+        I = minimalize([(1,) * 21], 21)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitExceeded, match="cap of 20 vertices"):
+                is_simis(I, 2)
+        assert "_simis_parts" not in vars(I)
+
+    def test_kept_parts_leave_the_ideal_a_plain_value(self):
+        I = paw_complement_ideal()
+
+        def observed():
+            copy = pickle.loads(pickle.dumps(I))
+            return (
+                I == paw_complement_ideal(), hash(I), repr(I), I.to_json_dict(),
+                dataclasses.fields(I), dataclasses.replace(I), pickle.dumps(I),
+                copy, sorted(vars(copy)), sorted(vars(dataclasses.replace(I))),
+            )
+
+        before = observed()
+        assert is_simis(I, 2) == monomials.SimisReport(2, False, (0, 1, 1, 1))
+        assert "_simis_parts" in vars(I)
+        assert observed() == before
+        assert before[-1] == before[-2] == ["gens", "n"]
 
     def test_matches_reference_on_benchmark_pool(self):
         instances = [i for i in json.loads(POOL.read_text())["instances"] if i["kind"] == "simis"]
@@ -538,8 +610,9 @@ class TestSymbolicGenerators:
     @staticmethod
     def check(I, ks):
         primes = minimal_primes(I)
+        index = monomials._prime_index(I.n, primes)
         for k in ks:
-            stream = list(monomials._symbolic_generators(I.n, k, primes))
+            stream = list(monomials._symbolic_generators(k, index))
             assert stream == list(monomials._symbolic_power(I, k, primes).gens), k
 
     def test_stream_is_the_chain_on_every_clutter_up_to_five_vertices(self):

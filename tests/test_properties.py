@@ -10,6 +10,7 @@ from clutterkit import (
     REFERENCE_GRAPHS,
     TRIVIAL,
     IncidenceMatrix,
+    MonomialIdeal,
     classify_graph,
     clutter_of_graph,
     complementary_edge_ideal,
@@ -29,7 +30,7 @@ from clutterkit import (
     symbolic_power,
 )
 from clutterkit.graphs import _least_mask, _pair_slots
-from clutterkit.monomials import _symbolic_generators
+from clutterkit.monomials import _prime_index, _symbolic_generators
 from oracles import (
     REFERENCE_PAIR_CAP,
     contains_monomial,
@@ -185,7 +186,7 @@ def test_packed_chain_matches_intersection_chain_up_to_nine_variables(k, I):
 @given(st.one_of(squarefree_ideals(), graph_ideals()))
 def test_symbolic_generator_stream_is_lex_increasing_and_matches_intersection_chain(instance):
     I, k = instance
-    stream = list(_symbolic_generators(I.n, k, minimal_primes(I)))
+    stream = list(_symbolic_generators(k, _prime_index(I.n, minimal_primes(I))))
     assert all(g < h for g, h in zip(stream, stream[1:]))
     assert stream == list(reference_symbolic_power(I, k).gens)
 
@@ -209,6 +210,15 @@ def test_simis_witness_lies_in_symbolic_but_not_ordinary_power(instance):
 def test_simis_matches_the_ordinary_power_reference(instance):
     I, k = instance
     assert is_simis(I, k) == reference_is_simis(I, k)
+
+
+# is_simis keeps what does not depend on k on the ideal object
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(squarefree_ideals(), st.lists(st.integers(1, 6), min_size=1, max_size=6))
+def test_simis_on_one_object_matches_fresh_objects(instance, ks):
+    I, _ = instance
+    shared = [is_simis(I, k) for k in ks]
+    assert shared == [is_simis(MonomialIdeal(I.n, I.gens), k) for k in ks]
 
 
 @st.composite
