@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import monomials
 from .errors import DimensionMismatch, ResourceLimitExceeded
-from .monomials import MonomialIdeal, minimal_cover_masks
+from .monomials import MonomialIdeal, _bit_vector, _positions, _support_mask, minimal_cover_masks
 
 PACKING_VERTEX_CAP = 12
 
@@ -68,8 +68,7 @@ class Clutter:
             previous = e
 
     def edge_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
-        vertices = range(1, self.n + 1)
-        return tuple(tuple(v for v in vertices if e >> (v - 1) & 1) for e in self.edges)
+        return tuple(tuple(i + 1 for i in _positions(e)) for e in self.edges)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edge_vertex_sets()]}
@@ -82,11 +81,6 @@ class Clutter:
 def make_clutter(n: int, edges) -> Clutter:
     """Build a clutter from vertex lists, keeping the inclusion-minimal edges."""
     return Clutter(n, tuple(sorted(_minimal_masks(_mask_of(edge, n) for edge in edges))))
-
-
-def _bit_vector(mask: int, n: int) -> tuple[int, ...]:
-    """Bits 0..n-1 of mask, from its binary digits: linear in n, not quadratic."""
-    return tuple(map(int, bin(mask)[:1:-1].ljust(n, "0")))
 
 
 def edge_ideal(H: Clutter) -> MonomialIdeal:
@@ -244,7 +238,7 @@ def has_packing(H: Clutter) -> PackingReport:
             covered = 0
             for e in edges:
                 covered |= e
-            M = _compacted(edges, [i for i in range(n) if covered >> i & 1])
+            M = _compacted(edges, _positions(covered))
             numbers = solved.get(M)
             if numbers is None:
                 numbers = solved[M] = (cover_number(M), matching_number(M))
@@ -308,9 +302,7 @@ class IncidenceMatrix:
                 raise ValueError("zero row is not an edge")
 
     def row_masks(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 << j for j, x in enumerate(row) if x) for row in self.data
-        )
+        return tuple(map(_support_mask, self.data))
 
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "data": [list(r) for r in self.data]}

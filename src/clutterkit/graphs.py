@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .clutters import Clutter, edge_ideal
-from .monomials import MonomialIdeal, PrimeSupport, _symbolic_power
+from .monomials import MonomialIdeal, PrimeSupport, _positions, _symbolic_power
 
 ENUMERATION_VERTEX_CAP = 7
 
@@ -101,10 +101,12 @@ def complementary_edge_ideal(G: Graph) -> MonomialIdeal:
 def clutter_of_graph(G: Graph) -> Clutter:
     """The (n-2)-uniform clutter whose edges are the complements of G's edges.
 
-    On fewer than 3 vertices a complement is empty, and `Clutter` rejects it.
+    Refused on fewer than 3 vertices, where every complement is empty.
     """
     if not G.edges:
         raise ValueError("clutter_of_graph requires at least one edge")
+    if G.n < 3:
+        raise ValueError(f"clutter_of_graph requires at least 3 vertices, got {G.n}")
     full = (1 << G.n) - 1
     return Clutter(G.n, tuple(sorted(full ^ (1 << a - 1) ^ (1 << b - 1) for a, b in G.edges)))
 
@@ -193,7 +195,7 @@ def _least_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> int:
     """
     adj = _adjacency(n, mask, slots)
     rep = _twin_representatives(adj)
-    neighbors = [[w for w in range(n) if adj[u] >> w & 1] for u in range(n)]
+    neighbors = list(map(_positions, adj))
     states = [((1 << n) - 1, [0] * n)]
     least = 0
     for t in range(n - 1, -1, -1):

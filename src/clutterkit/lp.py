@@ -23,7 +23,7 @@ from itertools import compress, product
 
 from .clutters import IncidenceMatrix
 from .errors import DimensionMismatch, ResourceLimitExceeded
-from .monomials import _Packing, minimal_cover_masks
+from .monomials import _bit_vector, _Packing, _positions, minimal_cover_masks
 
 PHI_COLUMN_CAP = 20
 SCAN_STATE_CAP = 5_000_000
@@ -70,7 +70,7 @@ def phi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
             else:
                 best = value
                 best_mask = mask
-    return best, tuple(best_mask >> j & 1 for j in range(n))
+    return best, _bit_vector(best_mask, n)
 
 
 def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
@@ -80,7 +80,7 @@ def psi(M: IncidenceMatrix, alpha) -> tuple[int, tuple[int, ...]]:
     refused past ``monomials.PACKING_VISIT_CAP`` row visits.
     """
     alpha = _checked_alpha(M, alpha)
-    return _Packing(tuple(j for j, x in enumerate(row) if x) for row in M.data).search(alpha)
+    return _Packing(M.row_masks()).search(alpha)
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,7 @@ def duality_gap_search(M: IncidenceMatrix, box: int) -> tuple[tuple[int, ...], L
         return None
 
     row_masks = M.row_masks()
-    cover_indices = [
-        tuple(j for j in range(n) if mask >> j & 1)
-        for mask in minimal_cover_masks(row_masks, n)
-    ]
+    cover_indices = list(map(_positions, minimal_cover_masks(row_masks, n)))
     strides = [(box + 1) ** (n - 1 - j) for j in range(n)]
     full = (1 << n) - 1
     # positive mask -> index offsets of alpha - row for the rows that fit

@@ -39,12 +39,24 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
+# A vertex set has three encodings: a mask (bit i = variable x_{i+1}), a 0/1
+# exponent vector, and its 0-based positions.  These three helpers convert.
 def _support_mask(m: Monomial) -> int:
     mask = 0
     for i, e in enumerate(m):
         if e:
             mask |= 1 << i
     return mask
+
+
+def _bit_vector(mask: int, n: int) -> tuple[int, ...]:
+    """Bits 0..n-1 of mask, from its binary digits: linear in n, not quadratic."""
+    return tuple(map(int, bin(mask)[:1:-1].ljust(n, "0")))
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, 0-based and ascending, from its binary digits."""
+    return tuple([i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
 
 
 def minimal_generators(candidates) -> tuple[Monomial, ...]:
@@ -104,24 +116,23 @@ class MonomialIdeal:
         return all(e <= 1 for g in self.gens for e in g)
 
     @cached_property
-    def _simis_parts(self) -> tuple[_PrimeIndex, tuple[tuple[int, ...], ...]]:
+    def _simis_parts(self) -> tuple[_PrimeIndex, tuple[int, ...]]:
         """What :func:`is_simis` needs of a proper squarefree ideal at every k,
         built on first use and kept: the index of its minimal primes, once
-        every generator is checked to meet each of them, and the supports of
-        its generators, the packing rows.  When :func:`minimal_primes` or
+        every generator is checked to meet each of them, and the support
+        masks of its generators, the packing rows.  When the cover walk or
         that check raises, nothing is kept.
         """
-        primes = minimal_primes(self)
-        index = _prime_index(self.n, primes)
-        gen_masks = [_support_mask(g) for g in self.gens]
-        for A, prime_mask in zip(primes, index.holds):
+        gen_masks = tuple(map(_support_mask, self.gens))
+        primes = tuple(minimal_cover_masks(gen_masks, self.n))
+        for prime in primes:
             for g, mask in zip(self.gens, gen_masks):
-                if not mask & prime_mask:
+                if not mask & prime:
                     raise RuntimeError(
                         f"internal invariant violated: generator {g} misses the minimal "
-                        f"prime {sorted(A)}"
+                        f"prime {[i + 1 for i in _positions(prime)]}"
                     )
-        return index, tuple(tuple(j for j, e in enumerate(g) if e) for g in self.gens)
+        return _prime_index(self.n, primes), gen_masks
 
     def __reduce__(self):
         # rebuilt from its fields, so that what is cached stays out of a pickle
@@ -237,10 +248,9 @@ def minimal_primes(I: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     (size, variables) order of :func:`minimal_cover_masks`.
     """
     _require_proper_squarefree(I, "minimal_primes")
-    n = I.n
     return tuple(
-        frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        for mask in minimal_cover_masks((_support_mask(g) for g in I.gens), n)
+        frozenset(i + 1 for i in _positions(mask))
+        for mask in minimal_cover_masks(map(_support_mask, I.gens), I.n)
     )
 
 
@@ -360,18 +370,14 @@ class _PrimeIndex(NamedTuple):
     holds: tuple[int, ...]  # each prime's variables as a mask
 
 
-def _prime_index(n: int, primes) -> _PrimeIndex:
+def _prime_index(n: int, primes: tuple[int, ...]) -> _PrimeIndex:
     primes_of: list[list[int]] = [[] for _ in range(n)]
     last_of: list[list[int]] = [[] for _ in range(n)]
-    for p, A in enumerate(primes):
-        for v in A:
-            primes_of[v - 1].append(p)
-        last_of[max(A) - 1].append(p)
-    return _PrimeIndex(
-        tuple(map(tuple, primes_of)),
-        tuple(map(tuple, last_of)),
-        tuple(sum(1 << (v - 1) for v in A) for A in primes),
-    )
+    for p, mask in enumerate(primes):
+        for i in _positions(mask):
+            primes_of[i].append(p)
+        last_of[mask.bit_length() - 1].append(p)
+    return _PrimeIndex(tuple(map(tuple, primes_of)), tuple(map(tuple, last_of)), primes)
 
 
 def _symbolic_generators(k: int, index: _PrimeIndex):
@@ -534,8 +540,8 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
-    index, supports = I._simis_parts
-    packing = _Packing(supports)
+    index, gen_masks = I._simis_parts
+    packing = _Packing(gen_masks)
     for g in _symbolic_generators(k, index):  # lex order: the first miss is the witness
         if packing.search(g, k)[0] < k:
             return SimisReport(k, False, g)
@@ -543,7 +549,7 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
 
 
 class _Packing:
-    """Integer packing over the rows of a 0/1 matrix, given by their supports.
+    """Integer packing over the rows of a 0/1 matrix, given by their masks.
 
     :meth:`search` maximizes the total of y >= 0 (one entry per row) such
     that the rows on each column j take at most alpha[j] in all.  Depth first
@@ -557,9 +563,8 @@ class _Packing:
     lifetime against PACKING_VISIT_CAP.
     """
 
-    def __init__(self, supports) -> None:
-        self.supports = list(supports)
-        masks = [sum(1 << j for j in s) for s in self.supports]
+    def __init__(self, masks: tuple[int, ...]) -> None:
+        self.supports = list(map(_positions, masks))
         self.cap_only = [
             sum(bool(mask & later) for later in masks[i + 1:]) <= 1 for i, mask in enumerate(masks)
         ]

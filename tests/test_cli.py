@@ -304,6 +304,32 @@ class TestInputBoundary:
         assert "invalid input" in result.output
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("args, text, message", [
+        (["packing", "-"], "[1, 2]", "input must be a JSON object"),
+        (["lp", "-", "--structural"], "\n \n", "dense matrix input is empty"),
+        (["lp", "-", "--alpha", "1,x"], "11\n",
+         "bad --alpha value: invalid literal for int() with base 10: 'x'"),
+        (["lp", "-", "--alpha", "1,-1"], "11\n",
+         "invalid input: objective must be nonnegative integers: (1, -1)"),
+        (["lp", "-", "--structural"], '{"rows": 2, "cols": 2, "data": [[1, 1]]}',
+         "invalid input: expected 2 rows, got 1"),
+        (["simis", "-"], '{"n": 2, "edges": [[1, 2]]}',
+         "invalid input: clutter_of_graph requires at least 3 vertices, got 2"),
+        (["decompose", "-"], '{"n": 2, "edges": [[1, 2]]}',
+         "invalid input: clutter_of_graph requires at least 3 vertices, got 2"),
+    ], ids=["not-an-object", "empty-dense", "non-integer-alpha", "negative-alpha",
+            "rows-disagree", "simis-two-vertices", "decompose-two-vertices"])
+    def test_refusal_names_the_fault(self, args, text, message):
+        result = invoke(args, input=text)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.output.rstrip("\n").endswith(f"Error: {message}")
+
+    def test_two_vertex_graph_still_classifies(self):
+        result = invoke(["classify", "-"], input='{"n": 2, "edges": [[1, 2]]}')
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"label": "K2", "isolated_count": 0}
+
     def test_library_type_error_is_not_an_input_error(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
             raise TypeError("library bug")
@@ -334,6 +360,16 @@ class TestVerifyTheoremCommand:
         result = invoke(["verify-theorem", "-n", "7", "-k", "0"])
         assert result.exit_code == 2
         assert "k_list entries must be >= 1, got 0" in result.output
+
+    def test_disagreement_exits_1(self, monkeypatch):
+        # every n = 3 class satisfies all five characterizations; a structural
+        # check that says no to each makes every class disagree
+        monkeypatch.setattr("clutterkit.verify.structural_mfmc_check", lambda M: False)
+        result = invoke(["verify-theorem", "-n", "3"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert (payload["consistent"], payload["classes"]) == (False, 3)
+        assert [row["all_agree"] for row in payload["rows"]] == [False] * 3
 
     def test_csv_output(self):
         result = invoke(["--csv", "verify-theorem", "-n", "3"])

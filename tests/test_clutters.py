@@ -118,13 +118,18 @@ class TestEdgeIdeal:
         assert got.gens == ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
 
     def test_vectors_are_the_bits_of_each_mask(self):
-        # edge_ideal and incidence_matrix against one shift per bit
+        # the three encodings of a vertex set, and edge_ideal and
+        # incidence_matrix, against one shift per bit
         for n in range(1, 9):
-            for e in range(1, 1 << n):
-                H = Clutter(n, (e,))
+            for e in range(1 << n):
                 expected = tuple(e >> i & 1 for i in range(n))
-                assert edge_ideal(H).gens == (expected,)
-                assert incidence_matrix(H).data == (expected,)
+                assert list(monomials._positions(e)) == [i for i in range(n) if e >> i & 1]
+                assert monomials._bit_vector(e, n) == expected
+                assert monomials._support_mask(monomials._bit_vector(e, n)) == e
+                if e:
+                    H = Clutter(n, (e,))
+                    assert edge_ideal(H).gens == (expected,)
+                    assert incidence_matrix(H).data == (expected,)
 
 
 class TestMatchingCover:

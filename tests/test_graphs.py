@@ -63,6 +63,9 @@ def prime_ideal(n, A):
     )
 
 
+# a graph on 2 vertices is refused before any mask is built
+SMALL_GRAPH = "^clutter_of_graph requires at least 3 vertices, got 2$"
+
 class TestMakeGraph:
     def test_rejects_loop(self):
         with pytest.raises(ValueError):
@@ -121,7 +124,7 @@ class TestComplementaryEdgeIdeal:
         assert complementary_edge_ideal(make_graph(5, [])).is_zero
 
     def test_small_graph_with_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=SMALL_GRAPH):
             complementary_edge_ideal(make_graph(2, [(1, 2)]))
 
 
@@ -155,9 +158,9 @@ class TestGraphClutterCorrespondence:
                 assert clutter_of_graph(G) == make_clutter(G.n, complements)
 
     def test_rejects_small_or_edgeless(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=SMALL_GRAPH):
             clutter_of_graph(make_graph(2, [(1, 2)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^clutter_of_graph requires at least one edge$"):
             clutter_of_graph(make_graph(4, []))
 
     def test_rejects_wrong_uniformity(self):
@@ -237,6 +240,20 @@ class TestPrimaryDecomposition:
         primes = primary_decomposition_cx(G)
         assert time.perf_counter() - start < 0.5
         assert len(primes) == 829
+
+    def test_seeded_60_vertex_graph_in_bounded_time(self):
+        # about 0.44 s, against which the bound keeps the 30-vertex test's
+        # headroom; the generator search, run at k = 1 over these primes in
+        # place of the chain, passes its step cap
+        G = seeded_graph(60, 0.5)
+        start = time.perf_counter()
+        primes = primary_decomposition_cx(G)
+        assert time.perf_counter() - start < 11
+        listed = json.dumps([sorted(A) for A in primes]).encode()
+        assert len(primes) == 5046
+        assert hashlib.sha256(listed).hexdigest() == (
+            "7ab4164e40c3d49a5ac978e827efb18af01da626fd6070bab6675ac3b6f5b371"
+        )
 
     def test_dense_40_vertex_graph_refused(self):
         # 7,892 primes: the check passes the chain's step cap in about 0.8 s

@@ -137,6 +137,11 @@ class TestPhi:
         with pytest.raises(DimensionMismatch):
             phi(identity3(), (1, 1))
 
+    def test_column_cap(self):
+        M = IncidenceMatrix.from_rows([(1,) * 21], 21)
+        with pytest.raises(ResourceLimitExceeded, match="^covering brute force capped at 20 columns$"):
+            phi(M, (1,) * 21)
+
     @pytest.mark.parametrize("n, box", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 1)])
     def test_matches_reference_phi(self, n, box):
         # value and tie-broken vector, at every objective of the box

@@ -145,6 +145,10 @@ class TestMultiplyPower:
         I = star_complement_ideal()
         assert multiply(I, MonomialIdeal.unit(4)) == I
 
+    def test_different_variable_counts_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^ideals live in 2 and 3 variables$"):
+            multiply(minimalize([(1, 0)], 2), minimalize([(0, 0, 1)], 3))
+
     def test_zero_absorbs(self):
         I = star_complement_ideal()
         assert multiply(I, MonomialIdeal.zero(4)).is_zero
@@ -610,7 +614,8 @@ class TestSymbolicGenerators:
     @staticmethod
     def check(I, ks):
         primes = minimal_primes(I)
-        index = monomials._prime_index(I.n, primes)
+        masks = tuple(sum(1 << (v - 1) for v in A) for A in primes)
+        index = monomials._prime_index(I.n, masks)
         for k in ks:
             stream = list(monomials._symbolic_generators(k, index))
             assert stream == list(monomials._symbolic_power(I, k, primes).gens), k

@@ -186,7 +186,8 @@ def test_packed_chain_matches_intersection_chain_up_to_nine_variables(k, I):
 @given(st.one_of(squarefree_ideals(), graph_ideals()))
 def test_symbolic_generator_stream_is_lex_increasing_and_matches_intersection_chain(instance):
     I, k = instance
-    stream = list(_symbolic_generators(k, _prime_index(I.n, minimal_primes(I))))
+    masks = tuple(sum(1 << (v - 1) for v in A) for A in minimal_primes(I))
+    stream = list(_symbolic_generators(k, _prime_index(I.n, masks)))
     assert all(g < h for g, h in zip(stream, stream[1:]))
     assert stream == list(reference_symbolic_power(I, k).gens)
 
