@@ -10,6 +10,7 @@ vertices by their original labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from . import monomials
 from .errors import DimensionMismatch, ResourceLimitExceeded
@@ -195,19 +196,13 @@ class PackingReport:
 
 
 def _subsets_lex(items):
-    """All subsets of a sorted tuple, in lexicographic (DFS prefix) order.
+    """All subsets of a sorted tuple, in lexicographic (DFS prefix) order, as
+    sorted tuples: a prefix sorts before its extensions.
 
     This is the order `has_packing` walks in; the reference scan in the
     tests and perfbench's count of scanned minors read it from here.
     """
-    items = tuple(items)
-
-    def rec(start: int, prefix: tuple[int, ...]):
-        yield prefix
-        for i in range(start, len(items)):
-            yield from rec(i + 1, prefix + (items[i],))
-
-    yield from rec(0, ())
+    return sorted(chain.from_iterable(combinations(items, r) for r in range(len(items) + 1)))
 
 
 def has_packing(H: Clutter) -> PackingReport:

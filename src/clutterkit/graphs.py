@@ -118,25 +118,31 @@ def primary_decomposition_cx(G: Graph) -> tuple[PrimeSupport, ...]:
     edge, the non-edges of G (edges of the complement) and the triples
     inducing triangles; a pair that contains an isolated vertex is absorbed
     by the singleton below it.  The intersection of the result is checked
-    against the ideal itself, on the chain that builds symbolic powers, run
-    at k = 1 under its step cap (ResourceLimitExceeded past it).
+    against the ideal: primes on disjoint variables intersect to their
+    product, so the singletons are checked as the support of every generator
+    off the touched vertices, and the other primes on the chain that builds
+    symbolic powers, run at k = 1 on the touched vertices under its step cap
+    (ResourceLimitExceeded past it).
     """
     if not G.edges:
         raise ValueError("primary decomposition requires at least one edge")
     present = set(G.edges)
     touched = sorted({v for edge in G.edges for v in edge})
-    parts = [frozenset([v]) for v in G.isolated_vertices()]
-    parts += [frozenset(e) for e in combinations(touched, 2) if e not in present]
-    parts += [frozenset(t) for t in combinations(touched, 3) if present >= set(combinations(t, 2))]
-    parts.sort(key=lambda A: (len(A), sorted(A)))
-
+    parts = [e for e in combinations(touched, 2) if e not in present]
+    parts += [t for t in combinations(touched, 3) if present >= set(combinations(t, 2))]
     ideal = complementary_edge_ideal(G)
-    if _symbolic_power(ideal, 1, parts).gens != ideal.gens:
-        raise RuntimeError(
-            "internal invariant violated: combinatorial decomposition does not "
-            "intersect to the complementary edge ideal"
-        )
-    return tuple(parts)
+    isolated = G.isolated_vertices()
+    on_touched = tuple(tuple(g[v - 1] for v in touched) for g in ideal.gens)
+    if all(sum(g) == len(isolated) + sum(h) and all(g[v - 1] for v in isolated)
+           for g, h in zip(ideal.gens, on_touched)):
+        core = MonomialIdeal(len(touched), on_touched)
+        bit = {v: 1 << i for i, v in enumerate(touched)}
+        if _symbolic_power(core, 1, [sum(map(bit.get, A)) for A in parts]).gens == core.gens:
+            return tuple(frozenset(A) for A in [(v,) for v in isolated] + parts)
+    raise RuntimeError(
+        "internal invariant violated: combinatorial decomposition does not "
+        "intersect to the complementary edge ideal"
+    )
 
 
 # --- isomorphism and enumeration ------------------------------------------

@@ -116,15 +116,17 @@ class MonomialIdeal:
         return all(e <= 1 for g in self.gens for e in g)
 
     @cached_property
-    def _simis_parts(self) -> tuple[_PrimeIndex, tuple[int, ...]]:
-        """What :func:`is_simis` needs of a proper squarefree ideal at every k,
-        built on first use and kept: the index of its minimal primes, once
-        every generator is checked to meet each of them, and the support
-        masks of its generators, the packing rows.  When the cover walk or
-        that check raises, nothing is kept.
+    def _prime_parts(self) -> tuple[_PrimeIndex, tuple[int, ...]]:
+        """The one walk of a proper squarefree ideal's minimal primes, kept on
+        first use for :func:`minimal_primes`, :func:`symbolic_power` and
+        :func:`is_simis` at every k: the index of the primes (``holds`` their
+        masks), once every generator is checked to meet each, and the support
+        masks of the generators, the packing rows.  The walk reads them lazily,
+        so its vertex cap refuses before an n-bit mask (quadratic in n) is
+        built; when the walk or that check raises, nothing is kept.
         """
+        primes = tuple(minimal_cover_masks(map(_support_mask, self.gens), self.n))
         gen_masks = tuple(map(_support_mask, self.gens))
-        primes = tuple(minimal_cover_masks(gen_masks, self.n))
         for prime in primes:
             for g, mask in zip(self.gens, gen_masks):
                 if not mask & prime:
@@ -245,13 +247,10 @@ def minimal_primes(I: MonomialIdeal) -> tuple[PrimeSupport, ...]:
 
     For a squarefree ideal these are exactly its minimal primes (equivalently
     the minimal vertex covers of the support hypergraph), in the
-    (size, variables) order of :func:`minimal_cover_masks`.
+    (size, variables) order of :func:`minimal_cover_masks`, as the ideal keeps them.
     """
     _require_proper_squarefree(I, "minimal_primes")
-    return tuple(
-        frozenset(i + 1 for i in _positions(mask))
-        for mask in minimal_cover_masks(map(_support_mask, I.gens), I.n)
-    )
+    return tuple(frozenset(i + 1 for i in _positions(mask)) for mask in I._prime_parts[0].holds)
 
 
 def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -266,7 +265,7 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if type(k) is not int or k < 1:
         raise ValueError(f"symbolic_power requires k >= 1, got {k!r}")
     _require_proper_squarefree(I, "symbolic_power")
-    return _symbolic_power(I, k, minimal_primes(I))
+    return _symbolic_power(I, k, I._prime_parts[0].holds)
 
 
 def _packed_monomials(units: list[int], d: int) -> list[int]:
@@ -281,7 +280,7 @@ def _packed_monomials(units: list[int], d: int) -> list[int]:
 
 
 def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
-    """The intersection of the P_A^k over `primes`, the minimal primes of I.
+    """The intersection of the P_A^k over `primes`, the masks of I's minimal primes.
 
     With k = 1 this is the intersection of the primes themselves, which
     :func:`clutterkit.graphs.primary_decomposition_cx` checks against I.
@@ -319,7 +318,7 @@ def _symbolic_power(I: MonomialIdeal, k: int, primes) -> MonomialIdeal:
         steps += len(gens)
         if steps > SYMBOLIC_STEP_CAP:
             break
-        a_shifts = [shifts[v - 1] for v in A]
+        a_shifts = [shifts[i] for i in _positions(A)]
         a_mask = sum(field << s for s in a_shifts)
         groups: dict[int, list[int]] = {}  # the generators by their fields on A
         for g in gens:
@@ -529,7 +528,7 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
     implementation, never the mathematics: it is what puts I^k inside I^(k)).
 
     What does not depend on k is computed once per ideal object and kept on
-    it (``MonomialIdeal._simis_parts``): the minimal primes with that check,
+    it (``MonomialIdeal._prime_parts``): the minimal primes with that check,
     the search's index of them by variable, and the packing rows.  Each call
     still builds its own :class:`_Packing` and runs its own search, so both
     caps count per call.
@@ -540,7 +539,7 @@ def is_simis(I: MonomialIdeal, k: int) -> SimisReport:
         return SimisReport(k, True)
     if not I.is_squarefree:
         raise ValueError("is_simis requires squarefree generators")
-    index, gen_masks = I._simis_parts
+    index, gen_masks = I._prime_parts
     packing = _Packing(gen_masks)
     for g in _symbolic_generators(k, index):  # lex order: the first miss is the witness
         if packing.search(g, k)[0] < k:

@@ -394,6 +394,15 @@ class TestPackingMatchesReference:
     """The depth-first scan gives the same report, certificate included, as
     the scan that rebuilds every minor from H."""
 
+    def test_scan_order_is_the_sorted_power_set(self):
+        # both scans and perfbench's count of scanned minors walk this order
+        for n in range(7):
+            subsets = list(clutters_module._subsets_lex(tuple(range(1, n + 1))))
+            assert len(subsets) == 2 ** n
+            assert all(list(D) == sorted(set(D)) for D in subsets)
+            assert set().union(*subsets) <= set(range(1, n + 1))
+            assert all(D < E for D, E in zip(subsets, subsets[1:]))
+
     def test_every_clutter_up_to_four_vertices(self):
         for n in range(0, 5):
             for H in [make_clutter(n, []), *all_clutters_with_edges(n)]:

@@ -202,11 +202,12 @@ class TestPrimaryDecomposition:
             primary_decomposition_cx(make_graph(4, []))
 
     def test_matches_min_vertex_covers(self):
-        for n in (3, 4, 5):
+        # the same primes in the same (size, lex) order, on all 1,244 classes
+        for n in (3, 4, 5, 6, 7):
             for G in enumerate_graphs_upto_iso(n, require_edge=True):
-                assert set(primary_decomposition_cx(G)) == set(
-                    minimal_primes(edge_ideal(clutter_of_graph(G)))
-                )
+                assert primary_decomposition_cx(G) == minimal_primes(
+                    edge_ideal(clutter_of_graph(G))
+                ), G
 
     def test_intersection_recovers_ideal(self):
         # the operation asserts this internally; re-check one case explicitly
@@ -254,6 +255,17 @@ class TestPrimaryDecomposition:
         assert hashlib.sha256(listed).hexdigest() == (
             "7ab4164e40c3d49a5ac978e827efb18af01da626fd6070bab6675ac3b6f5b371"
         )
+
+    def test_one_edge_among_many_isolated_vertices_in_bounded_time(self):
+        # about 0.1 s, against which the bound keeps the 60-vertex test's
+        # headroom: the chain runs on the two touched vertices, and the
+        # 99,998 singletons are checked on the one generator (the chain over
+        # every vertex took over 4 s, quadratic in the isolated vertices)
+        G = make_graph(100_000, [(1, 2)])
+        start = time.perf_counter()
+        primes = primary_decomposition_cx(G)
+        assert time.perf_counter() - start < 2.5
+        assert primes == tuple(frozenset([v]) for v in range(3, 100_001))
 
     def test_dense_40_vertex_graph_refused(self):
         # 7,892 primes: the check passes the chain's step cap in about 0.8 s

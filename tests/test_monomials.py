@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pickle
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -550,21 +551,54 @@ class TestIsSimis:
     def test_nothing_is_kept_before_the_checks_pass(self):
         for I in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
             assert is_simis(I, 2) == monomials.SimisReport(2, True)
-            assert "_simis_parts" not in vars(I)
+            for refused in (minimal_primes, lambda I: symbolic_power(I, 2)):
+                with pytest.raises(ValueError, match="nonzero proper ideal"):
+                    refused(I)
+            assert "_prime_parts" not in vars(I)
         I = minimalize([(2, 0), (0, 1)], 2)
-        with pytest.raises(ValueError, match="squarefree"):
-            is_simis(I, 2)
-        assert "_simis_parts" not in vars(I)
+        for refused in (lambda I: is_simis(I, 2), minimal_primes, lambda I: symbolic_power(I, 2)):
+            with pytest.raises(ValueError, match="squarefree"):
+                refused(I)
+        assert "_prime_parts" not in vars(I)
         I = star_complement_ideal()
-        with pytest.raises(ValueError, match="k >= 1"):
-            is_simis(I, 0)
-        assert "_simis_parts" not in vars(I)
+        for refused in (is_simis, symbolic_power):
+            with pytest.raises(ValueError, match="k >= 1"):
+                refused(I, 0)
+        assert "_prime_parts" not in vars(I)
         # a failed build keeps nothing, and the next call fails the same way
         I = minimalize([(1,) * 21], 21)
-        for _ in range(2):
+        for refused in (lambda I: is_simis(I, 2), minimal_primes, lambda I: symbolic_power(I, 2)):
+            for _ in range(2):
+                with pytest.raises(ResourceLimitExceeded, match="cap of 20 vertices"):
+                    refused(I)
+        assert "_prime_parts" not in vars(I)
+
+    def test_cover_cap_refuses_before_a_generator_mask_is_built(self):
+        # about 0.04 s each; a mask built first costs time quadratic in n
+        # (over 5 s for this one generator), so the bound keeps 25x headroom
+        I = complementary_edge_ideal(make_graph(1_000_000, [(1, 2)]))
+        for refused in (lambda I: is_simis(I, 2), minimal_primes, lambda I: symbolic_power(I, 2)):
+            start = time.perf_counter()
             with pytest.raises(ResourceLimitExceeded, match="cap of 20 vertices"):
-                is_simis(I, 2)
-        assert "_simis_parts" not in vars(I)
+                refused(I)
+            assert time.perf_counter() - start < 1
+
+    def test_one_walk_of_the_minimal_primes_per_object(self, monkeypatch):
+        walks = []
+        walk = monomials.minimal_cover_masks
+
+        def counted(edge_masks, n):
+            walks.append(n)
+            return walk(edge_masks, n)
+
+        monkeypatch.setattr(monomials, "minimal_cover_masks", counted)
+        I = paw_complement_ideal()
+        primes = minimal_primes(I)
+        assert symbolic_power(I, 2) == reference_symbolic_power(I, 2)
+        assert symbolic_power(I, 3) == reference_symbolic_power(I, 3)
+        assert is_simis(I, 2) == monomials.SimisReport(2, False, (0, 1, 1, 1))
+        assert minimal_primes(I) == primes
+        assert walks == [4]
 
     def test_kept_parts_leave_the_ideal_a_plain_value(self):
         I = paw_complement_ideal()
@@ -579,7 +613,7 @@ class TestIsSimis:
 
         before = observed()
         assert is_simis(I, 2) == monomials.SimisReport(2, False, (0, 1, 1, 1))
-        assert "_simis_parts" in vars(I)
+        assert "_prime_parts" in vars(I)
         assert observed() == before
         assert before[-1] == before[-2] == ["gens", "n"]
 
@@ -613,12 +647,10 @@ class TestSymbolicGenerators:
 
     @staticmethod
     def check(I, ks):
-        primes = minimal_primes(I)
-        masks = tuple(sum(1 << (v - 1) for v in A) for A in primes)
-        index = monomials._prime_index(I.n, masks)
+        index, _ = I._prime_parts
         for k in ks:
             stream = list(monomials._symbolic_generators(k, index))
-            assert stream == list(monomials._symbolic_power(I, k, primes).gens), k
+            assert stream == list(monomials._symbolic_power(I, k, index.holds).gens), k
 
     def test_stream_is_the_chain_on_every_clutter_up_to_five_vertices(self):
         count = 0
