@@ -19,6 +19,7 @@ import click
 from .clutters import (
     Clutter,
     IncidenceMatrix,
+    _check_packing_cap,
     cover_number,
     has_koenig,  # noqa: F401 -- unused here; perfbench/tracing.py wraps it by this name
     has_packing,
@@ -130,7 +131,10 @@ def simis(ctx, source, k):
 @click.pass_context
 def packing(ctx, source):
     """Decide the packing property of a clutter, with a failing minor if any."""
-    H = _from_json(Clutter, _parse_json(_read_text(source)))
+    data = _parse_json(_read_text(source))
+    if type(data.get("n")) is int:  # refused before a mask as wide as a label is built
+        _domain(_check_packing_cap, data["n"])
+    H = _from_json(Clutter, data)
     report = _domain(has_packing, H)
     _emit(ctx, report.to_json_dict())
 

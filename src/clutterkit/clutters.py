@@ -205,6 +205,13 @@ def _subsets_lex(items):
     return sorted(chain.from_iterable(combinations(items, r) for r in range(len(items) + 1)))
 
 
+def _check_packing_cap(n: int) -> None:
+    if n > PACKING_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"packing scan over 3^{n} minors exceeds the cap of {PACKING_VERTEX_CAP} vertices"
+        )
+
+
 def has_packing(H: Clutter) -> PackingReport:
     """Scan all 3^n disjoint (deleted, contracted) pairs for a Konig failure.
 
@@ -218,10 +225,7 @@ def has_packing(H: Clutter) -> PackingReport:
     lexicographically first failing pair; vertices keep their original
     labels.
     """
-    if H.n > PACKING_VERTEX_CAP:
-        raise ResourceLimitExceeded(
-            f"packing scan over 3^{H.n} minors exceeds the cap of {PACKING_VERTEX_CAP} vertices"
-        )
+    _check_packing_cap(H.n)
     n = H.n
     memo: dict[tuple[int, ...], tuple[int, int]] = {}
     solved: dict[Clutter, tuple[int, int]] = {}

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .clutters import Clutter, edge_ideal
-from .monomials import MonomialIdeal, PrimeSupport, _positions, _symbolic_power
+from .monomials import MonomialIdeal, PrimeSupport, _symbolic_power
 
-ENUMERATION_VERTEX_CAP = 7
+ENUMERATION_VERTEX_CAP = 7  # at most 8: _least_mask keeps one byte per vertex
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,13 @@ def _graph_from_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> Graph:
 
 
 def _adjacency(n: int, mask: int, slots: list[tuple[int, int]]) -> list[int]:
-    """Neighbor bitmask of each vertex of the graph with edge bitmask mask."""
+    """Neighbor set of each vertex of the graph with edge bitmask mask, one
+    byte per neighbor: bit 8w of entry v is set iff v and w are adjacent."""
     adj = [0] * n
     for s, (i, j) in enumerate(slots):
         if mask >> s & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+            adj[i] |= 1 << 8 * j
+            adj[j] |= 1 << 8 * i
     return adj
 
 
@@ -179,52 +180,65 @@ def _twin_representatives(adj: list[int]) -> list[int]:
     rep = list(range(len(adj)))
     for v in range(len(adj)):
         for u in range(v):
-            if rep[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+            if rep[u] == u and adj[u] & ~(1 << 8 * v) == adj[v] & ~(1 << 8 * u):
                 rep[v] = u
                 break
     return rep
 
 
-def _least_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> int:
-    """Least edge bitmask over all relabelings of the graph with this mask.
+def _least_mask(n: int, mask: int, slots: list[tuple[int, int]], barred: bool = False) -> int:
+    """Least edge bitmask over all relabelings of the graph with mask (n <= 8).
 
     Labels are placed from n-1 down to 0.  Placing label t fixes the slots
     (t, n-1), ..., (t, t+1), and every slot (i, j) with i >= t outranks
     every slot with i < t, so only the partial labelings whose known bits
-    are least need to be extended.  A state keeps, for each vertex, the
-    bitmask of the labels already placed on its neighbors; the bits label t
-    fixes are that code of the vertex labeled t.  Among the unlabeled
-    vertices one per twin class is tried: swapping two twins is an
-    automorphism that fixes the labels placed so far, so it maps the
-    labelings that start with one twin onto those that start with the other,
-    mask for mask.
+    are least need to be extended.  A state is an int with a byte per
+    vertex: bits 0-6 hold the labels placed on its neighbors (label j as
+    bit j-1), so the bits label t fixes are the byte of the vertex labeled
+    t.  Bit 7 marks a vertex that is labeled or whose previous twin is not,
+    so only the least unlabeled vertex of each twin class is tried:
+    swapping two twins is an automorphism that fixes the labels placed so
+    far, so it maps the labelings that start with one onto those that
+    start with the other, mask for mask.
+
+    With barred the mask is its own bar, and the result is below mask iff
+    mask is not least: 0 at once if swapping labels t and u < t makes row
+    t smaller, else the search stops at the first level whose least bits
+    fall below mask's.
     """
     adj = _adjacency(n, mask, slots)
-    rep = _twin_representatives(adj)
-    neighbors = list(map(_positions, adj))
-    states = [((1 << n) - 1, [0] * n)]
+    if barred and any(min(adj[:t]) >> 8 * t + 8 < adj[t] >> 8 * t + 8 for t in range(1, n)):
+        return 0
+    mark = [128 << 8 * u for u in range(n)]
+    step = mark.copy()  # placing u marks u and unmarks its next twin
+    code, latest = 0, list(range(n))
+    for v, r in enumerate(_twin_representatives(adj)):
+        if r != v:
+            code += mark[v]
+            step[latest[r]] -= mark[v]
+            latest[r] = v
+    states = [code]
     least = 0
     for t in range(n - 1, -1, -1):
-        best = 1 << n
+        best = 128
         chosen = []
-        for free, code in states:
-            tried = 0
-            for u in range(n):
-                if not free >> u & 1 or tried >> rep[u] & 1:
-                    continue
-                tried |= 1 << rep[u]
-                if code[u] < best:
-                    best = code[u]
-                    chosen = []
-                if code[u] == best:
-                    chosen.append((free, code, u))
-        states = []
-        for free, code, u in chosen:
-            new = code.copy()
-            for w in neighbors[u]:
-                new[w] |= 1 << t
-            states.append((free & ~(1 << u), new))
-        least |= (best >> (t + 1)) << (t * (2 * n - t - 1) // 2)
+        for code in states:
+            fields = code.to_bytes(n, "little")
+            low = min(fields)
+            if low > best:
+                continue
+            if low < best:
+                best = low
+                chosen = []
+            u = fields.find(low)
+            while u >= 0:  # the states built at t = 0 are never read
+                chosen.append(code + (adj[u] << t >> 1) + step[u])
+                u = fields.find(low, u + 1)
+        states = chosen
+        row = t * (2 * n - t - 1) // 2
+        least |= best >> t << row
+        if barred and least < mask >> row << row:
+            break
     return least
 
 
@@ -264,8 +278,8 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
     smaller still: m would not be least.  A child c of m, m with one bit
     b below z cleared, has lowest zero bit b and so parent m.  Hence
     clearing, in every least mask, each bit below its lowest zero bit and
-    keeping the least children reaches every class exactly once.  Output is
-    sorted by (edge count, representative mask).
+    keeping the least children (``_least_mask`` barred by the child) reaches
+    every class exactly once.  Output is sorted by (edge count, mask).
     """
     if type(n) is not int or not 1 <= n <= ENUMERATION_VERTEX_CAP:
         raise ValueError(
@@ -276,7 +290,7 @@ def enumerate_graphs_upto_iso(n: int, require_edge: bool = False) -> list[Graph]
     for mask in reps:  # the list grows by the least children found so far
         for b in range((mask ^ (mask + 1)).bit_length() - 1):
             child = mask & ~(1 << b)
-            if _least_mask(n, child, slots) == child:
+            if _least_mask(n, child, slots, barred=True) == child:
                 reps.append(child)
     reps.sort(key=lambda m: (m.bit_count(), m))
     if require_edge:

@@ -41,7 +41,14 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 # A vertex set has three encodings: a mask (bit i = variable x_{i+1}), a 0/1
 # exponent vector, and its 0-based positions.  These three helpers convert.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte to its binary digit
+
+
 def _support_mask(m: Monomial) -> int:
+    """Past 32 entries from binary digits: ``mask |= 1 << i`` copies a
+    growing int, so the loop is quadratic in m's length."""
+    if len(m) > 32:
+        return int(bytes(map(bool, reversed(m))).translate(_DIGITS), 2)
     mask = 0
     for i, e in enumerate(m):
         if e:

@@ -5,12 +5,16 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import clutterkit
 from clutterkit.cli import main
 from clutterkit.graphs import enumerate_graphs_upto_iso
 from oracles import seeded_graph
@@ -149,6 +153,30 @@ class TestPacking:
         big = {"n": 13, "edges": [[1, 2], [1, 3], [2, 3]]}
         path = write_json(tmp_path, "h.json", big)
         assert invoke(["packing", path]).exit_code == 2
+
+
+    def test_oversized_n_is_refused_before_any_mask_is_built(self):
+        # the one label 4*10^8 would be a 50 MB mask: the parent process, run
+        # in a fresh process of its own, reads its child's peak RSS
+        measure = (
+            "import resource, subprocess, sys, time\n"
+            "start = time.perf_counter()\n"
+            "done = subprocess.run([sys.executable, '-m', 'clutterkit.cli', 'packing', '-'],\n"
+            "                      input=sys.argv[1], capture_output=True, text=True)\n"
+            "print(done.returncode, time.perf_counter() - start,\n"
+            "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, repr(done.stderr))\n"
+        )
+        request = json.dumps({"n": 400000000, "edges": [[400000000]]})
+        env = dict(os.environ, PYTHONPATH=str(Path(clutterkit.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", measure, request], env=env,
+                             capture_output=True, text=True, check=True).stdout.split(" ", 3)
+        status, seconds, peak_kb = int(out[0]), float(out[1]), int(out[2])
+        if sys.platform == "darwin":
+            peak_kb //= 1024  # bytes there, KiB on Linux
+        assert status == 2
+        assert "exceeds the cap of 12 vertices" in out[3]
+        assert seconds < 5.0
+        assert peak_kb < 60 * 1024
 
 
 class TestKoenigClassifyDecompose:

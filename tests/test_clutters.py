@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -130,6 +131,18 @@ class TestEdgeIdeal:
                     H = Clutter(n, (e,))
                     assert edge_ideal(H).gens == (expected,)
                     assert incidence_matrix(H).data == (expected,)
+
+
+    def test_support_mask_of_long_vectors(self, rng):
+        # past 32 entries the mask comes from binary digits; exponents other
+        # than 0 and 1 count as set, and 10^6 ones take linear time
+        for n in (31, 32, 33, 64, 200):
+            for _ in range(20):
+                m = tuple(rng.choice((0, 0, 1, 2, 7)) for _ in range(n))
+                assert monomials._support_mask(m) == sum(1 << i for i, e in enumerate(m) if e)
+        start = time.perf_counter()
+        assert monomials._support_mask((1,) * 10**6) == (1 << 10**6) - 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMatchingCover:

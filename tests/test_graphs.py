@@ -454,6 +454,32 @@ class TestLeastMask:
             for mask in range(1 << len(slots)):
                 assert _least_mask(n, mask, slots) == brute_least_mask(n, mask)
 
+    def test_barred_path_and_swap_precheck_match_brute_force_up_to_five_vertices(self):
+        # with the mask as its bar the result is the mask iff it is least,
+        # and never above the least mask; a swap of labels t and u < t that
+        # shrinks row t (the precheck, recomputed here on plain neighbor
+        # bitmasks) means the mask is not least
+        for n in range(1, 6):
+            slots = _pair_slots(n)
+            for mask in range(1 << len(slots)):
+                least = brute_least_mask(n, mask)
+                barred = _least_mask(n, mask, slots, barred=True)
+                assert (barred == mask) == (least == mask)
+                assert barred <= least
+                adj = [0] * n
+                for s, (i, j) in enumerate(slots):
+                    if mask >> s & 1:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+                if any(adj[u] >> t + 1 < adj[t] >> t + 1 for t in range(n) for u in range(t)):
+                    assert barred == 0 and least < mask
+
+    def test_barred_path_decides_leastness_on_every_six_vertex_mask(self):
+        slots = _pair_slots(6)
+        for mask in range(1 << 15):
+            least = _least_mask(6, mask, slots)
+            assert (_least_mask(6, mask, slots, barred=True) == mask) == (least == mask)
+
     def test_least_parent_of_a_least_mask_is_least_up_to_five_vertices(self):
         # the lemma orderly enumeration rests on: setting the lowest zero bit
         # of a least mask other than the full one gives a least mask
